@@ -3,8 +3,8 @@
 from .catalog import (GONG_C, OddFunction, gong_normalized, gong_raw,
                       michel_surface, round_sphere)
 from .errors import (DomainError, FlowInstabilityError, GaugeError,
-                     NoClosureError, PoleProximityError, QuadratureError,
-                     ZollCertificationError)
+                     NoClosureError, NumericalAbort, PoleProximityError,
+                     QuadratureError, ZollCertificationError)
 from .geodesics import (GeodesicState, PeriodEntry, PeriodReport,
                         equator_length, find_period, integrate, zoll_sweep)
 from .profile import (ConformalProfile, MeridianCurve, ProfileMetric, area,

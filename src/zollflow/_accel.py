@@ -1,35 +1,10 @@
-"""Numba acceleration switch.
+"""Name of the numeric backend.
 
-Hot numeric kernels (geodesic integration, flow time stepping) are written as
-plain Python/numpy functions and JIT-compiled with numba when available.  Set
-the environment variable ``ZOLLFLOW_NO_NUMBA=1`` to force the pure-numpy
-fallback path; the benchmark in ``benchmarks/bench_backends.py`` compares the
-two.
+The kernels in ``_kernels`` have a single numpy implementation.
+``backend_name`` remains because the benchmark harness (``perfbench/run.py``)
+records it in the environment line of every run.
 """
-
-import os
-
-_DISABLED = os.environ.get("ZOLLFLOW_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        import numba
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is an optional extra
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _DISABLED
-
-
-def maybe_jit(func):
-    """JIT-compile ``func`` with numba unless the fallback path is selected."""
-    if USE_NUMBA:
-        return numba.njit(cache=True, nogil=True)(func)
-    return func
 
 
 def backend_name():
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

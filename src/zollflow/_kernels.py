@@ -1,8 +1,7 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels: geodesic stepping and the explicit flow.
 
-Everything in this module is written in plain loop/numpy style so that a
-single source serves both backends: compiled with ``numba.njit`` when
-available, executed as-is otherwise (see ``_accel``).
+The geodesic kernels are scalar loops, since their cost is per step; the
+flow kernels are vectorized over the theta grid, since theirs is per node.
 
 Geodesics on an axisymmetric metric ds^2 + rho(s)^2 dphi^2 are integrated in
 the state (s, phi, psi) with psi the heading measured from the meridian
@@ -21,8 +20,6 @@ trajectory of length ell stays of order tol * ell.
 
 import numpy as np
 
-from ._accel import USE_NUMBA, maybe_jit
-
 # status codes shared by the kernels
 OK = 0
 ERR_POLE = 1          # rho <= 0 encountered with nonzero angular momentum
@@ -31,9 +28,13 @@ ERR_DT_UNDERFLOW = 3
 ERR_NAN = 4
 
 
-@maybe_jit
 def hermite_eval(x, h, values, derivs):
-    """Cubic Hermite interpolation on a uniform grid starting at 0."""
+    """Cubic Hermite interpolation on a uniform grid starting at 0.
+
+    Scalar form for the step loop; ``hermite_vec`` is the array form and
+    must agree with it bitwise.  Points off the grid use the nearest end
+    cell's cubic.
+    """
     n = values.shape[0]
     i = int(x / h)
     if i < 0:
@@ -51,7 +52,18 @@ def hermite_eval(x, h, values, derivs):
             + h * (h10 * derivs[i] + h11 * derivs[i + 1]))
 
 
-@maybe_jit
+def hermite_vec(x, h, values, derivs):
+    """``hermite_eval`` at an array of points (profile queries)."""
+    x = np.asarray(x, dtype=float)
+    n = len(values)
+    i = np.clip((x / h).astype(int), 0, n - 2)
+    t = (x - i * h) / h
+    t2 = t * t
+    t3 = t2 * t
+    return ((2 * t3 - 3 * t2 + 1) * values[i] + (-2 * t3 + 3 * t2) * values[i + 1]
+            + h * ((t3 - 2 * t2 + t) * derivs[i] + (t3 - t2) * derivs[i + 1]))
+
+
 def _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a):
     rho = hermite_eval(s, h, rho_a, drho_a)
     if rho <= 0.0:
@@ -61,7 +73,6 @@ def _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a):
     return np.cos(psi), sp / rho, -(drho / rho) * sp, True
 
 
-@maybe_jit
 def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a):
     """One Dormand-Prince 5(4) step.
 
@@ -134,7 +145,6 @@ def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a):
     return True, s5, phi5, psi5, es, ep, eq
 
 
-@maybe_jit
 def _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq):
     """Max scaled error divided by the error-per-unit-length budget tol*dt."""
     scs = tol * (1.0 + max(abs(s), abs(s5)))
@@ -150,7 +160,20 @@ def _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq):
     return r / dt
 
 
-@maybe_jit
+def _next_dt(q, dt):
+    """Step size after a step with error ratio q (accepted when q <= 1):
+    grow by at most 5 on acceptance, shrink by at most 5 on rejection."""
+    if q <= 1.0:
+        fac = 5.0 if q < 1e-10 else 0.9 * q ** -0.25
+        if fac > 5.0:
+            fac = 5.0
+    else:
+        fac = 0.9 * q ** -0.25
+        if fac < 0.2:
+            fac = 0.2
+    return dt * fac
+
+
 def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
                      length, tol, max_steps):
     """Integrate a geodesic for a fixed arc length, recording each step.
@@ -196,15 +219,7 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
             phi_out[n] = phi
             psi_out[n] = psi
             n += 1
-            fac = 5.0 if q < 1e-10 else 0.9 * q ** -0.25
-            if fac > 5.0:
-                fac = 5.0
-            dt *= fac
-        else:
-            fac = 0.9 * q ** -0.25
-            if fac < 0.2:
-                fac = 0.2
-            dt *= fac
+        dt = _next_dt(q, dt)
         if dt < dt_min:
             status = ERR_DT_UNDERFLOW
             break
@@ -213,7 +228,6 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
     return status, n, tau_out[:n], s_out[:n], phi_out[:n], psi_out[:n]
 
 
-@maybe_jit
 def crossings_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
                      s_section, horizon, tol, max_cross, max_steps):
     """Record upward crossings of the section s = s_section.
@@ -276,15 +290,7 @@ def crossings_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
             s = s5
             phi = phi5
             psi = psi5
-            fac = 5.0 if q < 1e-10 else 0.9 * q ** -0.25
-            if fac > 5.0:
-                fac = 5.0
-            dt *= fac
-        else:
-            fac = 0.9 * q ** -0.25
-            if fac < 0.2:
-                fac = 0.2
-            dt *= fac
+        dt = _next_dt(q, dt)
         if dt < dt_min:
             status = ERR_DT_UNDERFLOW
             break
@@ -293,26 +299,21 @@ def crossings_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
     return status, ncross, tau_c[:ncross], s_c[:ncross], phi_c[:ncross], psi_c[:ncross]
 
 
-@maybe_jit
 def curvature_grid(u, h, cot_t):
     """Gaussian curvature e^{-2u} (1 - lap0 u) on the uniform theta grid.
 
     lap0 is the round-sphere Laplacian u'' + cot(theta) u'; at the poles the
     regular limit 2 u'' is used with a mirrored one-sided stencil.
     """
-    n = u.shape[0]
-    K = np.empty(n)
     h2 = h * h
-    K[0] = np.exp(-2.0 * u[0]) * (1.0 - 4.0 * (u[1] - u[0]) / h2)
-    K[n - 1] = np.exp(-2.0 * u[n - 1]) * (1.0 - 4.0 * (u[n - 2] - u[n - 1]) / h2)
-    for i in range(1, n - 1):
-        lap = ((u[i + 1] - 2.0 * u[i] + u[i - 1]) / h2
-               + cot_t[i] * (u[i + 1] - u[i - 1]) / (2.0 * h))
-        K[i] = np.exp(-2.0 * u[i]) * (1.0 - lap)
-    return K
+    lap = np.empty(u.shape[0])
+    lap[1:-1] = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
+                 + cot_t[1:-1] * (u[2:] - u[:-2]) / (2.0 * h))
+    lap[0] = 4.0 * (u[1] - u[0]) / h2
+    lap[-1] = 4.0 * (u[-2] - u[-1]) / h2
+    return np.exp(-2.0 * u) * (1.0 - lap)
 
 
-@maybe_jit
 def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,
                 stability_factor, symmetrize, max_steps):
     """Advance the normalized flow u_t = Kbar - K from t_start to t_target.
@@ -326,36 +327,24 @@ def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,
     t = t_start
     steps = 0
     status = OK
+    ws = w * sin_t
     for _ in range(max_steps):
         if t >= t_target:
             break
         e2u = np.exp(2.0 * u)
         K = curvature_grid(u, h, cot_t)
-        den = 0.0
-        num = 0.0
-        mn = e2u[0]
-        for i in range(n):
-            g = w[i] * e2u[i] * sin_t[i]
-            den += g
-            num += g * K[i]
-            if e2u[i] < mn:
-                mn = e2u[i]
-        kbar = num / den
-        dt = stability_factor * h * h * mn
+        g = ws * e2u
+        kbar = np.dot(g, K) / g.sum()
+        dt = stability_factor * h * h * e2u.min()
         if dt_cap > 0.0 and dt > dt_cap:
             dt = dt_cap
         if dt > t_target - t:
             dt = t_target - t
-        for i in range(n):
-            u[i] += dt * (kbar - K[i])
+        u += dt * (kbar - K)
         if symmetrize != 0:
-            for i in range(n // 2):
-                m = 0.5 * (u[i] + u[n - 1 - i])
-                u[i] = m
-                u[n - 1 - i] = m
-        den2 = 0.0
-        for i in range(n):
-            den2 += w[i] * np.exp(2.0 * u[i]) * sin_t[i]
+            u += u[::-1]
+            u *= 0.5
+        den2 = np.dot(ws, np.exp(2.0 * u))
         u -= 0.5 * np.log(0.5 * den2)  # area/(4 pi) = den2/2
         t += dt
         steps += 1
@@ -365,55 +354,3 @@ def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,
     if status == OK and t < t_target:
         status = ERR_MAX_STEPS
     return status, t, steps
-
-
-if not USE_NUMBA:
-    # Without the JIT the scalar grid loops above dominate; replace the two
-    # grid kernels with equivalent vectorized versions.  The geodesic kernels
-    # stay scalar (their cost is per-step, not per-node).
-
-    def curvature_grid(u, h, cot_t):  # noqa: F811
-        n = u.shape[0]
-        K = np.empty(n)
-        h2 = h * h
-        lap = np.empty(n)
-        lap[1:-1] = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
-                     + cot_t[1:-1] * (u[2:] - u[:-2]) / (2.0 * h))
-        lap[0] = 4.0 * (u[1] - u[0]) / h2
-        lap[-1] = 4.0 * (u[-2] - u[-1]) / h2
-        np.multiply(np.exp(-2.0 * u), 1.0 - lap, out=K)
-        return K
-
-    def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,  # noqa: F811
-                    stability_factor, symmetrize, max_steps):
-        n = u.shape[0]
-        t = t_start
-        steps = 0
-        status = OK
-        ws = w * sin_t
-        for _ in range(max_steps):
-            if t >= t_target:
-                break
-            e2u = np.exp(2.0 * u)
-            K = curvature_grid(u, h, cot_t)
-            g = ws * e2u
-            kbar = np.dot(g, K) / g.sum()
-            dt = stability_factor * h * h * e2u.min()
-            if dt_cap > 0.0 and dt > dt_cap:
-                dt = dt_cap
-            if dt > t_target - t:
-                dt = t_target - t
-            u += dt * (kbar - K)
-            if symmetrize != 0:
-                u += u[::-1]
-                u *= 0.5
-            den2 = np.dot(ws, np.exp(2.0 * u))
-            u -= 0.5 * np.log(0.5 * den2)
-            t += dt
-            steps += 1
-            if not np.isfinite(u[0]) or not np.isfinite(u[n // 2]):
-                status = ERR_NAN
-                break
-        if status == OK and t < t_target:
-            status = ERR_MAX_STEPS
-        return status, t, steps

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import catalog, geodesics, ricci, weinstein
 from .errors import (FlowInstabilityError, GaugeError, NoClosureError,
-                     ZollCertificationError)
+                     NumericalAbort, QuadratureError, ZollCertificationError)
 from .profile import (FOUR_PI, ConformalProfile, conformal_to_arclength,
                       curvature_arclength, normalize_to_volume, to_arclength,
                       to_conformal)
@@ -367,7 +367,7 @@ def main(argv=None):
                 {"t": e.state.t, "u": [float(x) for x in e.state.profile.u]}))
             print(f"last good state written to {snap}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (NoClosureError, RuntimeError) as e:
+    except (NoClosureError, NumericalAbort, QuadratureError) as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

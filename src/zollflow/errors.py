@@ -24,6 +24,11 @@ class NoClosureError(RuntimeError):
     """No geodesic return detected within the configured horizon."""
 
 
+class NumericalAbort(RuntimeError):
+    """A numeric kernel stopped early (pole breakdown, step-size underflow,
+    exhausted step budget)."""
+
+
 class ZollCertificationError(RuntimeError):
     """Period spread too large for a common-period certificate."""
 

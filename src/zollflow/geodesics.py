@@ -10,14 +10,12 @@ The meridian (c = 0) and the equator itself close in closed form (lengths
 2 S and 2 pi rho_max) and are handled without integration.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import NoClosureError
+from .errors import NoClosureError, NumericalAbort
 
 TWO_PI = 2.0 * np.pi
 DEFAULT_TOL = 1e-10
@@ -82,18 +80,17 @@ class PeriodReport:
 
 
 def _kernel_args(p):
-    return (p.h, np.ascontiguousarray(p.rho_grid),
-            np.ascontiguousarray(p.drho_grid),
-            np.ascontiguousarray(p.d2rho_grid))
+    return p.h, p.rho_grid, p.drho_grid, p.d2rho_grid
 
 
 def _raise_for_status(status, context):
     if status == _kernels.ERR_POLE:
-        raise RuntimeError(f"{context}: step hit rho <= 0 (pole chart breakdown)")
+        raise NumericalAbort(
+            f"{context}: step hit rho <= 0 (pole chart breakdown)")
     if status == _kernels.ERR_DT_UNDERFLOW:
-        raise RuntimeError(f"{context}: step-size underflow near a pole")
+        raise NumericalAbort(f"{context}: step-size underflow near a pole")
     if status == _kernels.ERR_MAX_STEPS:
-        raise RuntimeError(f"{context}: step budget exhausted")
+        raise NumericalAbort(f"{context}: step budget exhausted")
 
 
 def integrate(p, init, length, tol=DEFAULT_TOL, max_steps=2_000_000):
@@ -167,6 +164,8 @@ def equator_length(p):
 def _sweep_entry(p, s0, rho_max, c, tol, integrator_tol, horizon):
     psi0 = np.arcsin(min(c / rho_max, 1.0))
     init = GeodesicState(s=s0, phi=0.0, psi=psi0)
+    # called through the module global: the traced benchmark
+    # (perfbench/spans.py) wraps geodesics.find_period
     return find_period(p, init, tol=tol, integrator_tol=integrator_tol,
                        horizon=horizon)
 
@@ -187,18 +186,8 @@ def zoll_sweep(p, n_samples=32, tol=1e-6, integrator_tol=DEFAULT_TOL,
 
     entries = [PeriodEntry(clairaut_c=0.0, period=2.0 * p.total_length,
                            closure_error=0.0, converged=True)]
-
-    max_workers = int(os.environ.get("ZOLLFLOW_THREADS", "1"))
-    work = [float(c) for c in cs[1:]]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = list(ex.map(
-                lambda c: _sweep_entry(p, s0, rho_max, c, tol,
-                                       integrator_tol, horizon), work))
-    else:
-        results = [_sweep_entry(p, s0, rho_max, c, tol, integrator_tol,
-                                horizon) for c in work]
-    entries.extend(results)
+    entries.extend(_sweep_entry(p, s0, rho_max, float(c), tol,
+                                integrator_tol, horizon) for c in cs[1:])
 
     entries.append(PeriodEntry(clairaut_c=rho_max, period=TWO_PI * rho_max,
                                closure_error=0.0, converged=True))

@@ -51,21 +51,12 @@ def simpson_weights(n, h):
     return w
 
 
-def _hermite_vec(x, h, values, derivs):
-    """Vectorized cubic Hermite interpolation on a uniform grid from 0."""
-    x = np.asarray(x, dtype=float)
-    n = len(values)
-    i = np.clip((x / h).astype(int), 0, n - 2)
-    t = (x - i * h) / h
-    t2 = t * t
-    t3 = t2 * t
-    return ((2 * t3 - 3 * t2 + 1) * values[i] + (-2 * t3 + 3 * t2) * values[i + 1]
-            + h * ((t3 - 2 * t2 + t) * derivs[i] + (t3 - t2) * derivs[i + 1]))
-
-
 @dataclass(frozen=True)
 class MeridianCurve:
-    """Embedded surface-of-revolution profile r(z) with derivatives."""
+    """Embedded surface-of-revolution profile r(z) with derivatives.
+
+    r, dr and d2r take numpy arrays of heights as well as scalars.
+    """
 
     r: Callable[[float], float]
     dr: Callable[[float], float]
@@ -198,10 +189,10 @@ class ProfileMetric:
         return np.linspace(0.0, self.total_length, self.n_nodes)
 
     def rho(self, s):
-        return _hermite_vec(s, self.h, self.rho_grid, self.drho_grid)
+        return _kernels.hermite_vec(s, self.h, self.rho_grid, self.drho_grid)
 
     def drho(self, s):
-        return _hermite_vec(s, self.h, self.drho_grid, self.d2rho_grid)
+        return _kernels.hermite_vec(s, self.h, self.drho_grid, self.d2rho_grid)
 
     def d2rho(self, s):
         if self._d2_spline is None:
@@ -261,8 +252,7 @@ def to_arclength(m, n_nodes=4097):
     z = mid + a * np.sin(chi)
 
     with np.errstate(all="ignore"):
-        dr = np.array([m.dr(zz) for zz in z])
-        g = dr * np.cos(chi)  # finite at the poles for a smooth cap
+        g = m.dr(z) * np.cos(chi)  # finite at the poles for a smooth cap
     # the endpoints are 0 * inf; cubic extrapolation from the interior
     g[0] = g[1] * 3.0 - g[2] * 3.0 + g[3]
     g[-1] = g[-2] * 3.0 - g[-3] * 3.0 + g[-4]
@@ -278,15 +268,15 @@ def to_arclength(m, n_nodes=4097):
     chi_u[0], chi_u[-1] = -np.pi / 2, np.pi / 2
     z_u = mid + a * np.sin(chi_u)
 
-    rho_u = np.array([m.r(zz) for zz in z_u])
-    rho_u[0] = rho_u[-1] = 0.0
     with np.errstate(all="ignore"):
-        dr_u = np.array([m.dr(zz) for zz in z_u])
+        rho_u = m.r(z_u)
+        dr_u = m.dr(z_u)
         drho_u = np.where(np.abs(dr_u) > 1e12, np.sign(dr_u),
                           dr_u / np.sqrt(1.0 + dr_u * dr_u))
-        d2_u = np.array([m.d2r(zz) for zz in z_u])
+        d2_u = m.d2r(z_u)
         d2rho_u = np.where(np.isfinite(dr_u) & (np.abs(dr_u) < 1e12),
                            d2_u / (1.0 + dr_u * dr_u) ** 2, 0.0)
+    rho_u[0] = rho_u[-1] = 0.0
     drho_u[0], drho_u[-1] = 1.0, -1.0
     d2rho_u[0] = d2rho_u[-1] = 0.0
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from zollflow import cli
+from zollflow import cli, geodesics
+from zollflow.errors import NumericalAbort
 
 FOUR_PI = 4.0 * np.pi
 
@@ -54,6 +55,22 @@ class TestExitCodes:
     def test_michel_flow_rejected(self, capsys):
         assert run(["flow", "--surface", "michel", "--coeffs", "0.2,-0.2",
                     "--nodes", "256", "--T", "0.001"]) == 1
+
+    def test_numerical_abort_exit_code(self, monkeypatch, capsys):
+        def abort(*args, **kwargs):
+            raise NumericalAbort("find_period: step budget exhausted")
+        monkeypatch.setattr(geodesics, "find_period", abort)
+        assert run(["verify-zoll", "--surface", "round", "--nodes", "256",
+                    "--samples", "3"]) == 3
+        assert "numerical abort" in capsys.readouterr().err
+
+    def test_untyped_runtime_error_propagates(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("not a numerical abort")
+        monkeypatch.setattr(geodesics, "find_period", fail)
+        with pytest.raises(RuntimeError, match="not a numerical abort"):
+            run(["verify-zoll", "--surface", "round", "--nodes", "256",
+                 "--samples", "3"])
 
     def test_verify_pass_and_fail(self, tmp_path):
         out = tmp_path / "r.csv"

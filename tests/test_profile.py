@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zollflow as zf
+from zollflow import _kernels
 from zollflow.errors import DomainError, GaugeError, PoleProximityError
 from zollflow.profile import FOUR_PI, simpson_weights
 
@@ -22,6 +23,21 @@ def test_simpson_weights_exact_on_cubics():
 def test_simpson_weights_sin():
     w = simpson_weights(2048, PI / 2047)
     assert w @ np.sin(np.linspace(0, PI, 2048)) == pytest.approx(2.0, abs=1e-10)
+
+
+def test_hermite_scalar_and_array_agree(michel_p):
+    p = michel_p
+    rng = np.random.default_rng(7)
+    S = p.total_length
+    # points past either end exercise the clamped end cells
+    x = np.concatenate([rng.uniform(0.0, S, 200),
+                        rng.uniform(-0.1 * S, 0.0, 20),
+                        rng.uniform(S, 1.1 * S, 20), [0.0, S]])
+    for values, derivs in ((p.rho_grid, p.drho_grid),
+                           (p.drho_grid, p.d2rho_grid)):
+        vec = _kernels.hermite_vec(x, p.h, values, derivs)
+        scalar = [_kernels.hermite_eval(xi, p.h, values, derivs) for xi in x]
+        assert np.array_equal(vec, scalar)
 
 
 class TestMeridianGauge:

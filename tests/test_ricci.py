@@ -90,6 +90,18 @@ class TestEvolve:
         b = zf.evolve(zf.make_state(gong_conf.copy()), 0.002)[-1]
         assert np.array_equal(a.profile.u, b.profile.u)
 
+    def test_matches_flow_step(self, areanorm_p):
+        # the kernel loop against the independent one-step path
+        st = zf.make_state(zf.to_conformal(areanorm_p, n_nodes=512))
+        dt = 0.5 * stability_dt(st.profile)
+        stepped = st
+        for _ in range(20):
+            stepped = zf.flow_step(stepped, dt)
+        final = zf.evolve(st, 20 * dt, dt_cap=dt)[-1]
+        np.testing.assert_allclose(final.profile.u, stepped.profile.u,
+                                   rtol=0, atol=1e-12)
+        assert final.t == pytest.approx(stepped.t, abs=1e-15)
+
     def test_rejects_bad_horizon(self, gong_conf):
         with pytest.raises(ValueError):
             zf.evolve(zf.make_state(gong_conf.copy()), -1.0)
