@@ -64,6 +64,17 @@ def hermite_vec(x, h, values, derivs):
             + h * ((t3 - 2 * t2 + t) * derivs[i] + (t3 - t2) * derivs[i + 1]))
 
 
+def hermite_vec_slope(x, h, values, derivs):
+    """x-derivative of the ``hermite_vec`` cubic; equals derivs at the nodes."""
+    x = np.asarray(x, dtype=float)
+    n = len(values)
+    i = np.clip((x / h).astype(int), 0, n - 2)
+    t = (x - i * h) / h
+    t2 = t * t
+    return (6 * (t2 - t) * (values[i] - values[i + 1]) / h
+            + (3 * t2 - 4 * t + 1) * derivs[i] + (3 * t2 - 2 * t) * derivs[i + 1])
+
+
 def _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a):
     rho = hermite_eval(s, h, rho_a, drho_a)
     if rho <= 0.0:

@@ -11,9 +11,8 @@ closed and odd functions h on [-1, 1], through the literature normal form
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .profile import FOUR_PI, MeridianCurve, ProfileMetric
+from .profile import MeridianCurve, ProfileMetric, arclength_grid
 
 SQRT2 = np.sqrt(2.0)
 # rescale constant for the gong meridian: c = sqrt(2) - 1
@@ -122,14 +121,7 @@ def michel_surface(h, n_nodes=4097, theta_samples=16385):
     speed = 1.0 + h(ct)  # ds/dtheta
     if np.any(speed <= 0.0):
         raise ValueError("1 + h(cos theta) must stay positive")
-    s_of_theta = CubicSpline(theta, speed).antiderivative()
-    s_nodes = s_of_theta(theta) - s_of_theta(0.0)
-    S = float(s_nodes[-1])
-
-    theta_of_s = CubicSpline(s_nodes, theta)
-    s_u = np.linspace(0.0, S, n_nodes)
-    th = theta_of_s(s_u)
-    th[0], th[-1] = 0.0, np.pi
+    S, th = arclength_grid(theta, speed, n_nodes)
 
     ct = np.cos(th)
     st = np.sin(th)

@@ -33,7 +33,10 @@ EXIT_USAGE = 1
 EXIT_CERT = 2
 EXIT_NUMERIC = 3
 
-SURFACES = ("round", "gong_raw", "gong_normalized", "michel")
+# catalog meridian of each surface; michel is built from its odd function
+MERIDIANS = {"round": catalog.round_sphere, "gong_raw": catalog.gong_raw,
+             "gong_normalized": catalog.gong_normalized, "michel": None}
+SURFACES = tuple(MERIDIANS)
 DEFAULT_LPRIME_DTS = (1e-3, 5e-4, 2.5e-4)
 
 
@@ -55,7 +58,6 @@ class RunConfig:
     dt: float = 0.0
     sweep_checkpoints: bool = False
     out: str = ""
-    format: str = "csv"
 
     def validate(self):
         if self.surface not in SURFACES:
@@ -77,8 +79,6 @@ class RunConfig:
         for name in ("checkpoint_every", "dt"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name}: must be non-negative")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format: {self.format!r} not csv or json")
         return self
 
     def to_dict(self):
@@ -139,27 +139,23 @@ def _header_lines(config):
 
 def build_profile(config):
     """Arc-length profile of the configured surface."""
-    if config.surface == "round":
-        return to_arclength(catalog.round_sphere(), n_nodes=config.n_nodes)
-    if config.surface == "gong_raw":
-        return to_arclength(catalog.gong_raw(), n_nodes=config.n_nodes)
-    if config.surface == "gong_normalized":
-        return to_arclength(catalog.gong_normalized(), n_nodes=config.n_nodes)
-    h = catalog.OddFunction(tuple(config.coeffs))
-    return catalog.michel_surface(h, n_nodes=config.n_nodes)
+    meridian = MERIDIANS[config.surface]
+    if meridian is None:
+        h = catalog.OddFunction(tuple(config.coeffs))
+        return catalog.michel_surface(h, n_nodes=config.n_nodes)
+    return to_arclength(meridian(), n_nodes=config.n_nodes)
 
 
 def build_conformal(config):
     """Conformal profile for the flow: area-normalized to 4 pi first."""
     if config.surface == "round":
         return ConformalProfile(u=np.zeros(config.n_nodes))
-    if config.surface == "michel":
+    meridian = MERIDIANS[config.surface]
+    if meridian is None:
         raise ConfigError(
             "surface: the flow front end requires a reflection-symmetric "
             "surface (round or gong)")
-    m = normalize_to_volume(
-        catalog.gong_raw() if config.surface == "gong_raw"
-        else catalog.gong_normalized())
+    m = normalize_to_volume(meridian())
     p = to_arclength(m, n_nodes=4 * config.n_nodes + 1)
     return to_conformal(p, n_nodes=config.n_nodes)
 
@@ -316,7 +312,6 @@ def build_parser():
         sp.add_argument("--sweep-checkpoints", action="store_true",
                         default=None)
         sp.add_argument("--out")
-        sp.add_argument("--format", choices=("csv", "json"))
     return ap
 
 

@@ -14,13 +14,12 @@ but is numerically useless near the poles where r' blows up, so conversions
 route all near-pole work through the arc-length gauge, where K = -rho''/rho.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import _kernels
 from .errors import DomainError, GaugeError, PoleProximityError, QuadratureError
@@ -164,9 +163,9 @@ def normalize_to_volume(m, target_area=FOUR_PI):
 class ProfileMetric:
     """Arc-length gauge ds^2 + rho(s)^2 dphi^2 sampled on a uniform s-grid.
 
-    rho, drho and d2rho are node values; evaluation between nodes is cubic
-    Hermite (each array interpolated with the next one as its derivative),
-    which is what the geodesic kernels use as well.
+    rho, drho and d2rho are node values.  Between nodes rho and drho are cubic
+    Hermite (each array interpolated with the next one as its derivative), as
+    in the geodesic kernels, and d2rho is the slope of the drho cubic.
     """
 
     total_length: float
@@ -174,7 +173,6 @@ class ProfileMetric:
     drho_grid: np.ndarray
     d2rho_grid: np.ndarray
     symmetric: bool = False
-    _d2_spline: CubicSpline = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self):
@@ -195,9 +193,8 @@ class ProfileMetric:
         return _kernels.hermite_vec(s, self.h, self.drho_grid, self.d2rho_grid)
 
     def d2rho(self, s):
-        if self._d2_spline is None:
-            self._d2_spline = CubicSpline(self.s_grid, self.d2rho_grid)
-        return self._d2_spline(s)
+        return _kernels.hermite_vec_slope(s, self.h, self.drho_grid,
+                                          self.d2rho_grid)
 
     def area(self):
         w = simpson_weights(self.n_nodes, self.h)
@@ -237,6 +234,18 @@ def curvature_arclength(p, s):
     return float(val[0]) if scalar else val
 
 
+def arclength_grid(x, speed, n_nodes):
+    """(S, x_u): total arc length, and the parameters of n_nodes points evenly
+    spaced in arc length, for ds/dx = speed on increasing nodes x.  Spline
+    antiderivative, inverted by a second spline; ends pinned to x[0], x[-1]."""
+    s_of_x = CubicSpline(x, speed).antiderivative()
+    s_nodes = s_of_x(x) - s_of_x(x[0])
+    S = float(s_nodes[-1])
+    x_u = CubicSpline(s_nodes, x)(np.linspace(0.0, S, n_nodes))
+    x_u[0], x_u[-1] = x[0], x[-1]
+    return S, x_u
+
+
 def to_arclength(m, n_nodes=4097):
     """Reparametrize a meridian by arc length.
 
@@ -258,14 +267,7 @@ def to_arclength(m, n_nodes=4097):
     g[-1] = g[-2] * 3.0 - g[-3] * 3.0 + g[-4]
     F = a * np.sqrt(np.cos(chi) ** 2 + g * g)
 
-    s_of_chi = CubicSpline(chi, F).antiderivative()
-    s_fine = s_of_chi(chi) - s_of_chi(chi[0])
-    S = float(s_fine[-1])
-    chi_of_s = CubicSpline(s_fine, chi)
-
-    s_u = np.linspace(0.0, S, n_nodes)
-    chi_u = chi_of_s(s_u)
-    chi_u[0], chi_u[-1] = -np.pi / 2, np.pi / 2
+    S, chi_u = arclength_grid(chi, F, n_nodes)
     z_u = mid + a * np.sin(chi_u)
 
     with np.errstate(all="ignore"):
@@ -370,9 +372,10 @@ def _log_isothermal(p):
 def to_conformal(p, n_nodes=2048):
     """Conformal gauge of a reflection-symmetric, area-4pi profile.
 
-    Matches the isothermal coordinate of the profile (zero at the equator) to
-    the round-sphere Mercator coordinate q(theta) = ln tan(theta/2) and sets
-    e^{2u} = rho^2 / sin^2 theta along the matching.
+    Matches the isothermal coordinate t(s) of the profile (zero at the
+    equator) to the round-sphere Mercator coordinate q(theta) = ln tan(theta/2)
+    by one bisection of the increasing t, vectorized over all interior nodes
+    and run to adjacent doubles, and sets e^{2u} = rho^2 / sin^2 theta there.
     """
     if not p.symmetric:
         raise GaugeError("conformal gauge requires a reflection-symmetric profile")
@@ -384,13 +387,19 @@ def to_conformal(p, n_nodes=2048):
     S = p.total_length
     t = _log_isothermal(p)
     theta = np.linspace(0.0, np.pi, n_nodes)
-    u = np.empty(n_nodes)
+    q = np.log(np.tan(0.5 * theta[1:-1]))
 
-    lo, hi = 1e-12 * S, S * (1.0 - 1e-12)
-    for i in range(1, n_nodes - 1):
-        q = np.log(np.tan(0.5 * theta[i]))
-        s_i = brentq(lambda x: t(x) - q, lo, hi, xtol=1e-15 * S, rtol=8.9e-16)
-        u[i] = np.log(p.rho(s_i) / np.sin(theta[i]))
+    lo = np.full(n_nodes - 2, 1e-12 * S)
+    hi = np.full(n_nodes - 2, S * (1.0 - 1e-12))
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = t(mid) < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+
+    u = np.empty(n_nodes)
+    u[1:-1] = np.log(p.rho(mid) / np.sin(theta[1:-1]))
 
     # pole values: even quadratic fit in theta^2 through the 3 nearest nodes
     k = np.arange(1, 4)
@@ -408,10 +417,7 @@ def conformal_to_arclength(c, n_nodes=4097):
     integrator run on flow states."""
     theta = c.theta
     h = c.h
-    eu = np.exp(c.u)
-    s_of_theta = CubicSpline(theta, eu).antiderivative()
-    s_nodes = s_of_theta(theta) - s_of_theta(0.0)
-    S = float(s_nodes[-1])
+    S, th_u = arclength_grid(theta, np.exp(c.u), n_nodes)
 
     # du/dtheta by central differences (u is even at the poles)
     du = np.empty_like(c.u)
@@ -419,11 +425,6 @@ def conformal_to_arclength(c, n_nodes=4097):
     du[0] = du[-1] = 0.0
 
     K = conformal_curvature(c)
-
-    theta_of_s = CubicSpline(s_nodes, theta)
-    s_u = np.linspace(0.0, S, n_nodes)
-    th_u = theta_of_s(s_u)
-    th_u[0], th_u[-1] = 0.0, np.pi
 
     u_sp = CubicSpline(theta, c.u)
     du_sp = CubicSpline(theta, du)

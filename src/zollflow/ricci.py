@@ -107,7 +107,7 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
            stability_factor=STABILITY_FACTOR, max_steps=50_000_000):
     """Run the flow to horizon T, returning checkpoints plus the final state.
 
-    Stepping between checkpoints happens inside the compiled kernel with the
+    Stepping between checkpoints happens in one ``flow_kernel`` call with the
     automatic stable dt (optionally capped by dt_cap).  Deterministic for a
     fixed grid and dt policy.
     """

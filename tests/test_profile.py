@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import zollflow as zf
 from zollflow import _kernels
 from zollflow.errors import DomainError, GaugeError, PoleProximityError
-from zollflow.profile import FOUR_PI, simpson_weights
+from zollflow.profile import FOUR_PI, _log_isothermal, simpson_weights
 
 PI = np.pi
 
@@ -118,6 +119,17 @@ class TestArclengthGauge:
         assert gongn_p.rho_grid[0] == 0.0 and gongn_p.rho_grid[-1] == 0.0
         assert gongn_p.drho_grid[0] == 1.0 and gongn_p.drho_grid[-1] == -1.0
 
+    def test_d2rho_is_the_slope_of_drho(self, michel_h):
+        # coarse grid: a rule other than the Hermite slope shows up at 1e-7
+        p = zf.michel_surface(michel_h, n_nodes=257)
+        assert np.max(np.abs(p.d2rho(p.s_grid) - p.d2rho_grid)) < 1e-14
+        rng = np.random.default_rng(5)
+        s = (np.arange(p.n_nodes - 1)
+             + rng.uniform(0.05, 0.95, p.n_nodes - 1)) * p.h
+        e = 1e-4 * p.h
+        central = (p.drho(s + e) - p.drho(s - e)) / (2.0 * e)
+        assert np.max(np.abs(central - p.d2rho(s))) < 1e-8
+
     def test_validate_rejects_bad_slope(self, round_p):
         import dataclasses
         bad = dataclasses.replace(round_p,
@@ -144,6 +156,26 @@ class TestConformalGauge:
 
     def test_symmetry_pinned(self, gong_conf):
         assert gong_conf.symmetry_defect() == 0.0
+
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_bisection_matches_per_node_brentq(self, areanorm_p, n):
+        p = areanorm_p
+        S = p.total_length
+        t = _log_isothermal(p)
+        theta = np.linspace(0.0, PI, n)
+
+        def u_brentq(i):
+            q = np.log(np.tan(0.5 * theta[i]))
+            s_i = brentq(lambda x: t(x) - q, 1e-12 * S, S * (1.0 - 1e-12),
+                         xtol=1e-18, rtol=4.0 * np.finfo(float).eps)
+            return np.log(p.rho(s_i) / np.sin(theta[i]))
+
+        c = zf.to_conformal(p, n_nodes=n)
+        # the pole-adjacent nodes are the most sensitive to the solve
+        idx = np.unique(np.r_[1, 2, np.linspace(1, n - 2, 18).astype(int)])
+        for i in idx:
+            expect = 0.5 * (u_brentq(i) + u_brentq(n - 1 - i))
+            assert abs(c.u[i] - expect) <= 1e-12
 
     def test_u_equator_even_odd_grids(self, areanorm_p):
         c_even = zf.to_conformal(areanorm_p, n_nodes=512)
