@@ -18,6 +18,8 @@ cubic Hermite interpolation.  The integrator is an adaptive Dormand-Prince
 trajectory of length ell stays of order tol * ell.
 """
 
+import math
+
 import numpy as np
 
 # status codes shared by the kernels
@@ -333,35 +335,69 @@ def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,
     is also averaged about the equator (legal only for reflection-symmetric
     data).  ``w`` are quadrature weights for the theta grid.  Modifies u in
     place; returns (status, t_reached, n_steps).
+
+    The step size is stability_factor * h^2 * min e^{2u}, capped by dt_cap
+    (when positive) and by the time left.  Each step is ``curvature_grid``
+    rearranged to need one exp: with q = 1 - lap0 u, K = q / e^{2u}, and
+    the area weight e^{2u} cancels in Kbar = ws.q / ws.e^{2u} (ws = w sin).
+    The e^{2u} computed for the area after a step is rescaled by the
+    renormalization and carried into the next step.  The interior stencil
+    is precomputed as coefficients of u[i+1], u[i], u[i-1], and every
+    update runs in place, so a step allocates no arrays.
     """
     n = u.shape[0]
+    h2 = h * h
+    half_cot = cot_t[1:-1] / (2.0 * h)
+    a = -(1.0 / h2 + half_cot)  # coefficient of u[i+1] in q
+    b = 2.0 / h2                # coefficient of u[i]
+    c = -(1.0 / h2 - half_cot)  # coefficient of u[i-1]
+    pole = 4.0 / h2
+    ws = w * sin_t
+    e2u = np.exp(2.0 * u)
+    q = np.empty(n)
+    qi = q[1:-1]
+    tmp = np.empty(n - 2)
+    u_next, u_mid, u_prev, u_rev = u[2:], u[1:-1], u[:-2], u[::-1]
     t = t_start
     steps = 0
     status = OK
-    ws = w * sin_t
     for _ in range(max_steps):
         if t >= t_target:
             break
-        e2u = np.exp(2.0 * u)
-        K = curvature_grid(u, h, cot_t)
-        g = ws * e2u
-        kbar = np.dot(g, K) / g.sum()
+        np.multiply(a, u_next, out=qi)
+        np.multiply(c, u_prev, out=tmp)
+        qi += tmp
+        np.multiply(b, u_mid, out=tmp)
+        qi += tmp
+        qi += 1.0
+        q[0] = 1.0 - pole * (u[1] - u[0])
+        q[-1] = 1.0 - pole * (u[-2] - u[-1])
+        kbar = np.dot(ws, q) / np.dot(ws, e2u)
         dt = stability_factor * h * h * e2u.min()
         if dt_cap > 0.0 and dt > dt_cap:
             dt = dt_cap
         if dt > t_target - t:
             dt = t_target - t
-        u += dt * (kbar - K)
+        np.divide(q, e2u, out=q)  # K
+        np.subtract(kbar, q, out=q)
+        q *= dt
+        u += q
         if symmetrize != 0:
-            u += u[::-1]
-            u *= 0.5
-        den2 = np.dot(ws, np.exp(2.0 * u))
-        u -= 0.5 * np.log(0.5 * den2)  # area/(4 pi) = den2/2
+            # e2u holds u + u[::-1], twice the symmetrized u, until the exp
+            np.add(u, u_rev, out=e2u)
+            np.multiply(e2u, 0.5, out=u)
+        else:
+            np.multiply(u, 2.0, out=e2u)
+        np.exp(e2u, out=e2u)
+        den2 = float(np.dot(ws, e2u))  # area/(4 pi) = den2/2
         t += dt
         steps += 1
-        if not np.isfinite(u[0]) or not np.isfinite(u[n // 2]):
+        # a NaN or inf anywhere in u reaches den2 (0 * NaN is NaN)
+        if not (math.isfinite(den2) and den2 > 0.0):
             status = ERR_NAN
             break
+        u -= 0.5 * math.log(0.5 * den2)
+        e2u *= 2.0 / den2
     if status == OK and t < t_target:
         status = ERR_MAX_STEPS
     return status, t, steps

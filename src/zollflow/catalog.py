@@ -100,13 +100,21 @@ class OddFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return sum(ak * x ** (2 * k + 1)
-                   for k, ak in enumerate(self.coefficients))
+        return x * _horner(self.coefficients, x * x)
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
-        return sum((2 * k + 1) * ak * x ** (2 * k)
-                   for k, ak in enumerate(self.coefficients))
+        return _horner([(2 * k + 1) * ak
+                        for k, ak in enumerate(self.coefficients)], x * x)
+
+
+def _horner(coeffs, y):
+    """sum c_k y^k by Horner's rule, in place on one array."""
+    acc = np.full(np.shape(y), coeffs[-1])
+    for ck in coeffs[-2::-1]:
+        acc *= y
+        acc += ck
+    return acc
 
 
 def michel_surface(h, n_nodes=4097, theta_samples=16385):

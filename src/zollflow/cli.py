@@ -12,6 +12,7 @@ surface), 3 numerical abort.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -289,7 +290,9 @@ def cmd_lprime(config):
     return EXIT_CERT if contradiction else EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="zollflow",
         description="Surfaces of revolution: geodesic periods, curvature, "

@@ -201,13 +201,28 @@ class ProfileMetric:
         return 2.0 * np.pi * float(w @ self.rho_grid)
 
     def equator(self):
-        """(s*, rho(s*)) at the maximal parallel, refined parabolically."""
-        j = int(np.argmax(self.rho_grid))
-        j = min(max(j, 1), self.n_nodes - 2)
-        ym, y0, yp = self.rho_grid[j - 1:j + 2]
-        denom = ym - 2.0 * y0 + yp
-        delta = 0.0 if denom == 0 else 0.5 * (ym - yp) / denom
-        s_star = (j + delta) * self.h
+        """(s*, rho(s*)) at the maximal parallel.
+
+        s* is the root of the Hermite drho cubic in the cell next to the
+        largest rho node where drho changes sign, bisected to adjacent
+        doubles; the node itself if neither neighbouring cell has one.
+        """
+        h = self.h
+        d = self.drho_grid
+        j = min(max(int(np.argmax(self.rho_grid)), 1), self.n_nodes - 2)
+        if d[j] > 0.0 >= d[j + 1]:
+            lo, hi = j * h, (j + 1) * h
+        elif d[j - 1] >= 0.0 > d[j]:
+            lo, hi = (j - 1) * h, j * h
+        else:
+            lo = hi = j * h
+        s_star = 0.5 * (lo + hi)
+        while lo < s_star < hi:
+            if _kernels.hermite_eval(s_star, h, d, self.d2rho_grid) > 0.0:
+                lo = s_star
+            else:
+                hi = s_star
+            s_star = 0.5 * (lo + hi)
         return s_star, float(self.rho(s_star))
 
     def validate(self):

@@ -76,6 +76,9 @@ def discreteness_check(volume, L, tol=INTEGER_TOL):
     """For a volume-4 pi surface, check the Weinstein constraint 2/L^2 in Z.
 
     The admissible period parameters form a discrete set; a generic L fails.
+    At volume 4 pi, i = 1/L^2, so 2/L^2 in Z means 2i in Z: a weaker test
+    than i in Z, which accepts L = sqrt 2 (i = 1/2) although the theorem
+    excludes it.  ``weinstein_integer`` gives i itself.
     """
     if abs(volume - FOUR_PI) >= 1e-6:
         raise ValueError(

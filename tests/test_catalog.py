@@ -109,6 +109,13 @@ class TestMichel:
         assert zf.curvature_arclength(michel_p, s_eq) == pytest.approx(
             1.0, abs=1e-7)
 
+    def test_equator_at_exact_parallel(self, michel_h):
+        # theta = pi/2 sits at s = pi/2 + int_0^{pi/2} h(cos theta) d theta,
+        # which is pi/2 + 0.3 (1 - 2/3) for h = 0.3 (x - x^3)
+        p = zf.michel_surface(michel_h, n_nodes=512)
+        s_eq, _ = p.equator()
+        assert abs(s_eq - (np.pi / 2 + 0.1)) <= 1e-9
+
     def test_zero_h_gives_round_sphere(self):
         p = zf.michel_surface(zf.OddFunction(()), n_nodes=1025)
         s = np.linspace(0.1, np.pi - 0.1, 31)

@@ -102,6 +102,25 @@ class TestEvolve:
                                    rtol=0, atol=1e-12)
         assert final.t == pytest.approx(stepped.t, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [513, 1024])
+    def test_automatic_dt_matches_flow_step(self, areanorm_p, n):
+        # the one-exp kernel with its own dt rule against the one-step path
+        st = zf.make_state(zf.to_conformal(areanorm_p, n_nodes=n))
+        stepped = st
+        for _ in range(50):
+            stepped = zf.flow_step(stepped, stability_dt(stepped.profile))
+        final = zf.evolve(st, stepped.t)[-1]
+        np.testing.assert_allclose(final.profile.u, stepped.profile.u,
+                                   rtol=0, atol=1e-12)
+        assert final.t == stepped.t
+        assert final.profile.symmetry_defect() == 0.0
+
+    def test_nan_state_raises(self, gong_conf):
+        c = gong_conf.copy()
+        c.u[100] = np.nan
+        with pytest.raises(FlowInstabilityError):
+            zf.evolve(zf.make_state(c), 1e-3)
+
     def test_rejects_bad_horizon(self, gong_conf):
         with pytest.raises(ValueError):
             zf.evolve(zf.make_state(gong_conf.copy()), -1.0)
