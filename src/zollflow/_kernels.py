@@ -15,7 +15,9 @@ which conserves the Clairaut invariant rho(s) sin(psi).  The profile rho is
 supplied as value/derivative samples on a uniform s-grid and evaluated with
 cubic Hermite interpolation.  The integrator is an adaptive Dormand-Prince
 5(4) pair with error-per-unit-length control, so accumulated drift over a
-trajectory of length ell stays of order tol * ell.
+trajectory of length ell stays of order tol * ell.  ``integrate_kernel`` is
+the one adaptive march: it records every accepted step, and section
+crossings are read off that record and refined by ``section_crossing``.
 """
 
 import math
@@ -191,22 +193,20 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
                      length, tol, max_steps):
     """Integrate a geodesic for a fixed arc length, recording each step.
 
-    Returns (status, n, tau, s, phi, psi) with trajectory arrays of length n.
+    Returns (status, (tau, s, phi, psi, dt)): the states at tau = 0 and
+    after every accepted step, and the size of each accepted step (one
+    fewer entry).  The last step is clamped to end exactly at tau = length;
+    on a failure the trajectory stops at the last accepted step.
     """
-    tau_out = np.empty(max_steps + 2)
-    s_out = np.empty(max_steps + 2)
-    phi_out = np.empty(max_steps + 2)
-    psi_out = np.empty(max_steps + 2)
-
     tau = 0.0
     s = s0
     phi = phi0
     psi = psi0
-    tau_out[0] = tau
-    s_out[0] = s
-    phi_out[0] = phi
-    psi_out[0] = psi
-    n = 1
+    tau_l = [tau]
+    s_l = [s]
+    phi_l = [phi]
+    psi_l = [psi]
+    dt_l = []
 
     dt = min(0.01, length)
     dt_min = 1e-14 * (length + 1.0)
@@ -227,89 +227,45 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
             s = s5
             phi = phi5
             psi = psi5
-            tau_out[n] = tau
-            s_out[n] = s
-            phi_out[n] = phi
-            psi_out[n] = psi
-            n += 1
+            tau_l.append(tau)
+            s_l.append(s)
+            phi_l.append(phi)
+            psi_l.append(psi)
+            dt_l.append(dt)
         dt = _next_dt(q, dt)
         if dt < dt_min:
             status = ERR_DT_UNDERFLOW
             break
     if status == OK and tau < length:
         status = ERR_MAX_STEPS
-    return status, n, tau_out[:n], s_out[:n], phi_out[:n], psi_out[:n]
+    return status, (np.array(tau_l), np.array(s_l), np.array(phi_l),
+                    np.array(psi_l), np.array(dt_l))
 
 
-def crossings_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
-                     s_section, horizon, tol, max_cross, max_steps):
-    """Record upward crossings of the section s = s_section.
+def section_crossing(h, rho_a, drho_a, d2rho_a, traj, i, s_section):
+    """Where accepted step i of an ``integrate_kernel`` trajectory, which
+    carries s upward through s_section, reaches the section.
 
-    A crossing is an accepted-step interval with s passing s_section from
-    below; the crossing state is refined by bisection on the sub-step size.
-    Returns (status, ncross, tau_c, s_c, phi_c, psi_c).
+    The crossing is refined by 60 bisections on the sub-step size from the
+    step's start; if none reaches the section, the step's end is used.
+    Returns (tau, s, phi, psi) at the crossing.
     """
-    tau_c = np.empty(max_cross)
-    s_c = np.empty(max_cross)
-    phi_c = np.empty(max_cross)
-    psi_c = np.empty(max_cross)
-    ncross = 0
-
-    tau = 0.0
-    s = s0
-    phi = phi0
-    psi = psi0
-    dt = 0.01
-    dt_min = 1e-14 * (horizon + 1.0)
-    status = OK
-    for _ in range(max_steps):
-        if tau >= horizon or ncross >= max_cross:
-            break
-        ok, s5, phi5, psi5, es, ep, eq = _dp_step(
-            s, phi, psi, dt, h, rho_a, drho_a, d2rho_a)
+    tau, s, phi, psi, dt = traj
+    lo = 0.0
+    hi = dt[i]
+    cdelta, cs, cphi, cpsi = hi, s[i + 1], phi[i + 1], psi[i + 1]
+    for _it in range(60):
+        mid = 0.5 * (lo + hi)
+        ok, ms, mphi, mpsi, _e1, _e2, _e3 = _dp_step(
+            s[i], phi[i], psi[i], mid, h, rho_a, drho_a, d2rho_a)
         if not ok:
-            status = ERR_POLE
             break
-        q = _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq)
-        if q <= 1.0:
-            if s < s_section and s5 >= s_section:
-                # refine the crossing by bisection on the sub-step length
-                lo = 0.0
-                hi = dt
-                cs = s5
-                cphi = phi5
-                cpsi = psi5
-                cdelta = dt
-                for _it in range(60):
-                    mid = 0.5 * (lo + hi)
-                    ok2, ms, mphi, mpsi, _e1, _e2, _e3 = _dp_step(
-                        s, phi, psi, mid, h, rho_a, drho_a, d2rho_a)
-                    if not ok2:
-                        break
-                    if ms >= s_section:
-                        hi = mid
-                        cs = ms
-                        cphi = mphi
-                        cpsi = mpsi
-                        cdelta = mid
-                    else:
-                        lo = mid
-                tau_c[ncross] = tau + cdelta
-                s_c[ncross] = cs
-                phi_c[ncross] = cphi
-                psi_c[ncross] = cpsi
-                ncross += 1
-            tau += dt
-            s = s5
-            phi = phi5
-            psi = psi5
-        dt = _next_dt(q, dt)
-        if dt < dt_min:
-            status = ERR_DT_UNDERFLOW
-            break
-    if status == OK and tau < horizon and ncross < max_cross:
-        status = ERR_MAX_STEPS
-    return status, ncross, tau_c[:ncross], s_c[:ncross], phi_c[:ncross], psi_c[:ncross]
+        if ms >= s_section:
+            hi = mid
+            cdelta, cs, cphi, cpsi = mid, ms, mphi, mpsi
+        else:
+            lo = mid
+    return tau[i] + cdelta, cs, cphi, cpsi
 
 
 def curvature_grid(u, h, cot_t):

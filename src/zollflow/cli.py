@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import numbers
 import os
 import sys
 import tempfile
@@ -41,6 +42,10 @@ SURFACES = tuple(MERIDIANS)
 DEFAULT_LPRIME_DTS = (1e-3, 5e-4, 2.5e-4)
 
 
+# accepted value types of the int and float config fields
+FIELD_KINDS = {int: numbers.Integral, float: numbers.Real}
+
+
 class ConfigError(ValueError):
     """Invalid RunConfig field; message carries the field path."""
 
@@ -61,6 +66,13 @@ class RunConfig:
     out: str = ""
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = FIELD_KINDS.get(f.type, f.type)
+            if (not isinstance(value, kind)
+                    or (isinstance(value, bool) and f.type is not bool)):
+                raise ConfigError(
+                    f"{f.name}: expected {f.type.__name__}, got {value!r}")
         if self.surface not in SURFACES:
             raise ConfigError(f"surface: {self.surface!r} not one of {SURFACES}")
         if self.surface == "michel":
@@ -95,7 +107,10 @@ class RunConfig:
                 raise ConfigError(f"{k}: unknown config field")
         d = dict(d)
         if "coeffs" in d:
-            d["coeffs"] = tuple(float(c) for c in d["coeffs"])
+            try:
+                d["coeffs"] = tuple(float(c) for c in d["coeffs"])
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"coeffs: {e}") from e
         return cls(**d).validate()
 
     def to_json(self):
@@ -323,10 +338,12 @@ def config_from_args(args):
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ConfigError(f"{args.config}: not a JSON object")
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config") and v is not None}
-    if "coeffs" in overrides and isinstance(overrides["coeffs"], str):
-        overrides["coeffs"] = [float(c) for c in overrides["coeffs"].split(",")
+    if "coeffs" in overrides:
+        overrides["coeffs"] = [c for c in overrides["coeffs"].split(",")
                                if c.strip()]
     base.update(overrides)
     return RunConfig.from_dict(base)

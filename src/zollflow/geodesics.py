@@ -1,8 +1,10 @@
 """Geodesic integration, period measurement, and common-period sweeps.
 
-All trajectories run in the arc-length gauge through the kernels in
-``_kernels``.  Period measurement uses the Poincare section s = s0 (the
-starting parallel) with upward crossings: by the Clairaut relation
+All trajectories run in the arc-length gauge through the one adaptive
+march in ``_kernels``.  Period measurement marches to the horizon and reads
+the returns off the recorded trajectory: upward crossings of the Poincare
+section s = s0 (the starting parallel), each refined by bisection within
+its step.  By the Clairaut relation
 rho(s) sin(psi) = const, a trajectory returning through its starting
 parallel with the same sign of ds/dtau automatically repeats its heading, so
 closure only hinges on the accumulated longitude being a multiple of 2 pi.
@@ -21,6 +23,8 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_TOL = 1e-10
 DEFAULT_HORIZON = 8.0 * TWO_PI
 CLAIRAUT_CAP = 0.95
+MAX_STEPS = 4_000_000  # attempted steps per march before NumericalAbort
+MAX_RETURNS = 16       # section returns find_period examines
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,12 @@ def _raise_for_status(status, context):
         raise NumericalAbort(f"{context}: step budget exhausted")
 
 
-def integrate(p, init, length, tol=DEFAULT_TOL, max_steps=2_000_000):
+def _march(p, init, length, tol):
+    return _kernels.integrate_kernel(
+        *_kernel_args(p), init.s, init.phi, init.psi, length, tol, MAX_STEPS)
+
+
+def integrate(p, init, length, tol=DEFAULT_TOL):
     """Integrate a geodesic for a fixed arc length.
 
     Returns the trajectory as a list of GeodesicState at the accepted steps,
@@ -101,11 +110,10 @@ def integrate(p, init, length, tol=DEFAULT_TOL, max_steps=2_000_000):
     """
     if p.rho(init.s) <= 0.0:
         raise ValueError("initial point must lie off the poles")
-    status, n, tau, s, phi, psi = _kernels.integrate_kernel(
-        *_kernel_args(p), init.s, init.phi, init.psi, length, tol, max_steps)
+    status, (tau, s, phi, psi, _dt) = _march(p, init, length, tol)
     _raise_for_status(status, "integrate")
     return [GeodesicState(s=s[i], phi=phi[i], psi=psi[i], tau=tau[i])
-            for i in range(n)]
+            for i in range(len(tau))]
 
 
 def _wrap_angle(x):
@@ -121,28 +129,32 @@ def closure_distance(p, a, b):
 
 
 def find_period(p, init, tol=1e-6, integrator_tol=DEFAULT_TOL,
-                horizon=DEFAULT_HORIZON, max_steps=4_000_000):
+                horizon=DEFAULT_HORIZON):
     """Smallest return time of a geodesic to its initial state.
 
-    Upward section crossings within the horizon are candidate returns; the
-    first one with closure distance <= tol is the period.  If no candidate
-    closes to tolerance, the crossing with the smallest closure distance is
-    returned with converged=False (on a surface with non-closing geodesics
-    this measures the latitude-oscillation quasi-period).
-    Raises NoClosureError if the section is never re-crossed.
+    The first MAX_RETURNS upward section crossings within the horizon are
+    candidate returns; the first one with closure distance <= tol is the
+    period.  If no candidate closes to tolerance, the crossing with the
+    smallest closure distance is returned with converged=False (on a
+    surface with non-closing geodesics this measures the
+    latitude-oscillation quasi-period).  Returns found before a failed march
+    still count.  Raises NoClosureError if the section is never re-crossed
+    within the horizon, NumericalAbort if the march failed before a return.
     """
     if np.cos(init.psi) <= 1e-12:
         raise ValueError("initial heading must have ds/dtau > 0 off the "
                          "equator; use the closed-form equator period instead")
-    status, nc, tau_c, s_c, phi_c, psi_c = _kernels.crossings_kernel(
-        *_kernel_args(p), init.s, init.phi, init.psi, init.s,
-        horizon, integrator_tol, 16, max_steps)
-    if nc == 0:
+    status, traj = _march(p, init, horizon, integrator_tol)
+    s = traj[1]
+    steps = np.flatnonzero((s[:-1] < init.s) & (s[1:] >= init.s))
+    if steps.size == 0:
         _raise_for_status(status, "find_period")
         raise NoClosureError(f"no section return within horizon {horizon}")
     best = None
-    for i in range(nc):
-        cand = GeodesicState(s=s_c[i], phi=phi_c[i], psi=psi_c[i], tau=tau_c[i])
+    for i in steps[:MAX_RETURNS]:
+        tau, cs, cphi, cpsi = _kernels.section_crossing(
+            *_kernel_args(p), traj, i, init.s)
+        cand = GeodesicState(s=cs, phi=cphi, psi=cpsi, tau=tau)
         d = closure_distance(p, init, cand)
         if d <= tol:
             return PeriodEntry(clairaut_c=init.clairaut(p), period=cand.tau,

@@ -343,15 +343,26 @@ class ConformalProfile:
         return float(np.max(np.abs(self.u - self.u[::-1])))
 
 
+def conformal_grid(n_nodes):
+    """(sin theta, cot theta, Simpson weights) on the uniform theta grid.
+
+    cot is set to 0 at the poles, where the curvature stencil does not use
+    it.
+    """
+    theta = np.linspace(0.0, np.pi, n_nodes)
+    sin_t = np.sin(theta)
+    cot_t = np.zeros(n_nodes)
+    cot_t[1:-1] = np.cos(theta[1:-1]) / sin_t[1:-1]
+    return sin_t, cot_t, simpson_weights(n_nodes, np.pi / (n_nodes - 1))
+
+
 def conformal_curvature(c, node=None):
     """Discrete curvature K = e^{-2u} (1 - lap0 u), second order in the grid.
 
     Returns the full node array, or a single value when ``node`` is given.
     """
-    theta = c.theta
-    cot = np.zeros_like(theta)
-    cot[1:-1] = np.cos(theta[1:-1]) / np.sin(theta[1:-1])
-    K = _kernels.curvature_grid(np.asarray(c.u, dtype=float), c.h, cot)
+    _sin_t, cot_t, _w = conformal_grid(c.n_nodes)
+    K = _kernels.curvature_grid(np.asarray(c.u, dtype=float), c.h, cot_t)
     if node is None:
         return K
     return float(K[node])

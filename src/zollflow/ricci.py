@@ -22,10 +22,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import FlowInstabilityError
-from .profile import (FOUR_PI, ConformalProfile, conformal_curvature,
-                      curvature_arclength, simpson_weights)
+from .profile import (FOUR_PI, ConformalProfile, conformal_grid,
+                      curvature_arclength)
 
 STABILITY_FACTOR = 0.4
+MAX_STEPS = 50_000_000  # flow steps per checkpoint interval
 SYMMETRY_EPS = 1e-12
 TWO_PI = 2.0 * np.pi
 
@@ -49,19 +50,10 @@ class FlowState:
         return TWO_PI * np.exp(self.profile.u_equator())
 
 
-def _grid_data(c):
-    theta = c.theta
-    sin_t = np.sin(theta)
-    cot_t = np.zeros_like(theta)
-    cot_t[1:-1] = np.cos(theta[1:-1]) / sin_t[1:-1]
-    w = simpson_weights(c.n_nodes, c.h)
-    return sin_t, cot_t, w
-
-
 def make_state(profile, t=0.0):
     """Wrap a profile with freshly computed diagnostics."""
-    sin_t, cot_t, w = _grid_data(profile)
-    K = conformal_curvature(profile)
+    sin_t, cot_t, w = conformal_grid(profile.n_nodes)
+    K = _kernels.curvature_grid(profile.u, profile.h, cot_t)
     g = w * np.exp(2.0 * profile.u) * sin_t
     area = TWO_PI * float(g.sum())
     k_bar = float(np.dot(g, K) / g.sum())
@@ -89,8 +81,8 @@ def flow_step(state, dt):
         raise FlowInstabilityError(
             f"dt = {dt:g} exceeds the stability bound {bound:g}", state=state)
     c = state.profile.copy()
-    sin_t, cot_t, w = _grid_data(c)
-    K = conformal_curvature(c)
+    sin_t, cot_t, w = conformal_grid(c.n_nodes)
+    K = _kernels.curvature_grid(c.u, c.h, cot_t)
     g = w * np.exp(2.0 * c.u) * sin_t
     k_bar = np.dot(g, K) / g.sum()
     c.u += dt * (k_bar - K)
@@ -104,19 +96,21 @@ def flow_step(state, dt):
 
 
 def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
-           stability_factor=STABILITY_FACTOR, max_steps=50_000_000):
+           stability_factor=STABILITY_FACTOR):
     """Run the flow to horizon T, returning checkpoints plus the final state.
 
     Stepping between checkpoints happens in one ``flow_kernel`` call with the
     automatic stable dt (optionally capped by dt_cap).  Deterministic for a
-    fixed grid and dt policy.
+    fixed grid and dt policy.  If the state goes non-finite, the
+    FlowInstabilityError carries the last checkpoint; if one checkpoint
+    interval needs more than MAX_STEPS steps, it carries the state reached.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
     if checkpoint_every is None or checkpoint_every <= 0.0:
         checkpoint_every = T
     c = initial.profile.copy()
-    sin_t, cot_t, w = _grid_data(c)
+    sin_t, cot_t, w = conformal_grid(c.n_nodes)
     symmetrize = 1 if initial.profile.symmetry_defect() < SYMMETRY_EPS else 0
 
     states = [make_state(c.copy(), initial.t)]
@@ -126,10 +120,10 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
         target = min(t + checkpoint_every, t_end)
         status, t, _steps = _kernels.flow_kernel(
             c.u, c.h, sin_t, cot_t, w, t, target, dt_cap,
-            stability_factor, symmetrize, max_steps)
+            stability_factor, symmetrize, MAX_STEPS)
         if status == _kernels.ERR_NAN:
-            raise FlowInstabilityError("flow state went non-finite",
-                                       state=make_state(c, t))
+            raise FlowInstabilityError(
+                f"flow state went non-finite by t = {t:g}", state=states[-1])
         if status == _kernels.ERR_MAX_STEPS:
             raise FlowInstabilityError("flow step budget exhausted",
                                        state=make_state(c, t))

@@ -52,6 +52,21 @@ class TestExitCodes:
         assert run(["describe", "--surface", "round", "--nodes", "8"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, flags, field", [
+        (None, ["--surface", "michel", "--coeffs", "0.3,abc"], "coeffs"),
+        ({"n_nodes": "abc"}, [], "n_nodes"),
+        ([1, 2], [], "c.json"),
+    ])
+    def test_malformed_input_is_config_error(self, tmp_path, capsys,
+                                             config, flags, field):
+        if config is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg)] + flags
+        assert run(["describe"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+
     def test_michel_flow_rejected(self, capsys):
         assert run(["flow", "--surface", "michel", "--coeffs", "0.2,-0.2",
                     "--nodes", "256", "--T", "0.001"]) == 1

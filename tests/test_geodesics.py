@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zollflow as zf
+from zollflow import geodesics
 from zollflow.errors import NoClosureError, NumericalAbort
 
 TWO_PI = 2.0 * np.pi
@@ -62,10 +63,17 @@ class TestFindPeriod:
         with pytest.raises(NoClosureError):
             zf.find_period(round_p, init, horizon=0.5)
 
-    def test_step_budget_is_typed_abort(self, round_p):
+    def test_return_past_horizon_not_counted(self, round_p):
+        # the only return sits at 2 pi, just past the horizon
+        init = zf.GeodesicState(s=np.pi / 2, phi=0.0, psi=0.3)
+        with pytest.raises(NoClosureError):
+            zf.find_period(round_p, init, horizon=TWO_PI - 0.01)
+
+    def test_step_budget_is_typed_abort(self, round_p, monkeypatch):
+        monkeypatch.setattr(geodesics, "MAX_STEPS", 10)
         init = zf.GeodesicState(s=np.pi / 2, phi=0.0, psi=0.3)
         with pytest.raises(NumericalAbort, match="step budget"):
-            zf.find_period(round_p, init, max_steps=10)
+            zf.find_period(round_p, init)
 
     def test_nonclosing_reported_unconverged(self, gongn_p):
         s_eq, rho_max = gongn_p.equator()

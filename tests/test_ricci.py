@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zollflow as zf
+from zollflow import cli
 from zollflow.errors import FlowInstabilityError
 from zollflow.profile import FOUR_PI
 from zollflow.ricci import stability_dt
@@ -120,6 +121,17 @@ class TestEvolve:
         c.u[100] = np.nan
         with pytest.raises(FlowInstabilityError):
             zf.evolve(zf.make_state(c), 1e-3)
+
+    def test_blowup_attaches_last_checkpoint(self):
+        # three times the stable step blows up at t ~ 2.4e-3
+        c0 = cli.build_conformal(
+            cli.RunConfig(surface="gong_normalized", n_nodes=256))
+        with pytest.raises(FlowInstabilityError) as exc:
+            zf.evolve(zf.make_state(c0), 0.05, checkpoint_every=1e-3,
+                      stability_factor=3.0)
+        st = exc.value.state
+        assert np.all(np.isfinite(st.profile.u))
+        assert st.t in (0.0, 1e-3, 2e-3)
 
     def test_rejects_bad_horizon(self, gong_conf):
         with pytest.raises(ValueError):
