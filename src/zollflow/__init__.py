@@ -6,7 +6,7 @@ from .errors import (DomainError, FlowInstabilityError, GaugeError,
                      NoClosureError, NumericalAbort, PoleProximityError,
                      QuadratureError, ZollCertificationError)
 from .geodesics import (GeodesicState, PeriodEntry, PeriodReport,
-                        equator_length, find_period, integrate, zoll_sweep)
+                        find_period, integrate, zoll_sweep)
 from .profile import (ConformalProfile, MeridianCurve, ProfileMetric, area,
                       average_curvature, conformal_curvature,
                       conformal_to_arclength, curvature_arclength,

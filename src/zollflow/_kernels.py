@@ -317,43 +317,45 @@ def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,
     t = t_start
     steps = 0
     status = OK
-    for _ in range(max_steps):
-        if t >= t_target:
-            break
-        np.multiply(a, u_next, out=qi)
-        np.multiply(c, u_prev, out=tmp)
-        qi += tmp
-        np.multiply(b, u_mid, out=tmp)
-        qi += tmp
-        qi += 1.0
-        q[0] = 1.0 - pole * (u[1] - u[0])
-        q[-1] = 1.0 - pole * (u[-2] - u[-1])
-        kbar = np.dot(ws, q) / np.dot(ws, e2u)
-        dt = stability_factor * h * h * e2u.min()
-        if dt_cap > 0.0 and dt > dt_cap:
-            dt = dt_cap
-        if dt > t_target - t:
-            dt = t_target - t
-        np.divide(q, e2u, out=q)  # K
-        np.subtract(kbar, q, out=q)
-        q *= dt
-        u += q
-        if symmetrize != 0:
-            # e2u holds u + u[::-1], twice the symmetrized u, until the exp
-            np.add(u, u_rev, out=e2u)
-            np.multiply(e2u, 0.5, out=u)
-        else:
-            np.multiply(u, 2.0, out=e2u)
-        np.exp(e2u, out=e2u)
-        den2 = float(np.dot(ws, e2u))  # area/(4 pi) = den2/2
-        t += dt
-        steps += 1
-        # a NaN or inf anywhere in u reaches den2 (0 * NaN is NaN)
-        if not (math.isfinite(den2) and den2 > 0.0):
-            status = ERR_NAN
-            break
-        u -= 0.5 * math.log(0.5 * den2)
-        e2u *= 2.0 / den2
+    # the den2 check reports a blow-up, so numpy's warnings are muted
+    with np.errstate(all="ignore"):
+        for _ in range(max_steps):
+            if t >= t_target:
+                break
+            np.multiply(a, u_next, out=qi)
+            np.multiply(c, u_prev, out=tmp)
+            qi += tmp
+            np.multiply(b, u_mid, out=tmp)
+            qi += tmp
+            qi += 1.0
+            q[0] = 1.0 - pole * (u[1] - u[0])
+            q[-1] = 1.0 - pole * (u[-2] - u[-1])
+            kbar = np.dot(ws, q) / np.dot(ws, e2u)
+            dt = stability_factor * h * h * e2u.min()
+            if dt_cap > 0.0 and dt > dt_cap:
+                dt = dt_cap
+            if dt > t_target - t:
+                dt = t_target - t
+            np.divide(q, e2u, out=q)  # K
+            np.subtract(kbar, q, out=q)
+            q *= dt
+            u += q
+            if symmetrize != 0:
+                # e2u holds u + u[::-1], twice the symmetrized u, until the exp
+                np.add(u, u_rev, out=e2u)
+                np.multiply(e2u, 0.5, out=u)
+            else:
+                np.multiply(u, 2.0, out=e2u)
+            np.exp(e2u, out=e2u)
+            den2 = float(np.dot(ws, e2u))  # area/(4 pi) = den2/2
+            t += dt
+            steps += 1
+            # a NaN or inf anywhere in u reaches den2 (0 * NaN is NaN)
+            if not (math.isfinite(den2) and den2 > 0.0):
+                status = ERR_NAN
+                break
+            u -= 0.5 * math.log(0.5 * den2)
+            e2u *= 2.0 / den2
     if status == OK and t < t_target:
         status = ERR_MAX_STEPS
     return status, t, steps

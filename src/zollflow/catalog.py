@@ -17,6 +17,8 @@ from .profile import MeridianCurve, ProfileMetric, arclength_grid
 SQRT2 = np.sqrt(2.0)
 # rescale constant for the gong meridian: c = sqrt(2) - 1
 GONG_C = SQRT2 - 1.0
+# uniform theta samples behind the Michel arc-length integral
+THETA_SAMPLES = 16385
 
 
 def round_sphere():
@@ -25,7 +27,7 @@ def round_sphere():
         r=lambda z: np.sqrt(1.0 - z * z),
         dr=lambda z: -z / np.sqrt(1.0 - z * z),
         d2r=lambda z: -(1.0 - z * z) ** -1.5,
-        z_lo=-1.0, z_hi=1.0, symmetric=True)
+        z_lo=-1.0, z_hi=1.0)
 
 
 def _gong_meridian(c4):
@@ -51,8 +53,7 @@ def _gong_meridian(c4):
             + x * x / (2.0 * w * w * sw ** 3))
 
     half = 1.0 / c4
-    return MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=-half, z_hi=half,
-                         symmetric=True)
+    return MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=-half, z_hi=half)
 
 
 def gong_raw():
@@ -117,14 +118,14 @@ def _horner(coeffs, y):
     return acc
 
 
-def michel_surface(h, n_nodes=4097, theta_samples=16385):
+def michel_surface(h, n_nodes=4097):
     """Arc-length profile of the odd-function metric
     (1 + h(cos theta))^2 d theta^2 + sin^2 theta d phi^2.
 
     The meridian length is exactly pi (the h-term integrates to zero by
     oddness) and the area is exactly 4 pi.
     """
-    theta = np.linspace(0.0, np.pi, theta_samples)
+    theta = np.linspace(0.0, np.pi, THETA_SAMPLES)
     ct = np.cos(theta)
     speed = 1.0 + h(ct)  # ds/dtheta
     if np.any(speed <= 0.0):
@@ -141,6 +142,5 @@ def michel_surface(h, n_nodes=4097, theta_samples=16385):
     # d/ds (cos theta / (1+h)) = sin theta (cos theta h'(cos) - (1+h)) / (1+h)^3
     d2rho = st * (ct * h.deriv(ct) - sp) / sp ** 3
 
-    p = ProfileMetric(total_length=S, rho_grid=rho, drho_grid=drho,
-                      d2rho_grid=d2rho, symmetric=False)
-    return p.validate()
+    return ProfileMetric(total_length=S, rho_grid=rho, drho_grid=drho,
+                         d2rho_grid=d2rho)

@@ -214,10 +214,11 @@ def cmd_verify_zoll(config):
     p = build_profile(config)
     report = _sweep(config, p)
     _emit(config, _report_csv(config, report))
-    spread = report.spread
-    print(f"period spread = {fmt_float(spread)} over {len(report.entries)} "
-          f"samples", file=sys.stderr)
-    if spread >= weinstein.SPREAD_TOL or not report.all_converged:
+    print(f"period spread = {fmt_float(report.spread)} over "
+          f"{len(report.entries)} samples", file=sys.stderr)
+    try:
+        weinstein.common_period(report)
+    except ZollCertificationError:
         print("certification FAILED: no common geodesic period",
               file=sys.stderr)
         return EXIT_CERT

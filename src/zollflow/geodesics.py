@@ -53,7 +53,6 @@ class PeriodReport:
     """Result of a common-period sweep over Clairaut constants."""
 
     entries: list
-    closure_tol: float
 
     @property
     def periods(self):
@@ -166,13 +165,6 @@ def find_period(p, init, tol=1e-6, integrator_tol=DEFAULT_TOL,
                        closure_error=d, converged=False)
 
 
-def equator_length(p):
-    """Length 2 pi rho(S/2) of the equator parallel (symmetric profiles)."""
-    if not p.symmetric:
-        raise ValueError("equator length requires a reflection-symmetric profile")
-    return TWO_PI * float(p.rho(0.5 * p.total_length))
-
-
 def _sweep_entry(p, s0, rho_max, c, tol, integrator_tol, horizon):
     psi0 = np.arcsin(min(c / rho_max, 1.0))
     init = GeodesicState(s=s0, phi=0.0, psi=psi0)
@@ -204,4 +196,4 @@ def zoll_sweep(p, n_samples=32, tol=1e-6, integrator_tol=DEFAULT_TOL,
     entries.append(PeriodEntry(clairaut_c=rho_max, period=TWO_PI * rho_max,
                                closure_error=0.0, converged=True))
     entries.sort(key=lambda e: e.clairaut_c)
-    return PeriodReport(entries=entries, closure_tol=tol)
+    return PeriodReport(entries=entries)

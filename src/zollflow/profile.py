@@ -30,6 +30,9 @@ FOUR_PI = 4.0 * np.pi
 POLE_GUARD_FRACTION = 1e-6
 # central-difference step for user-supplied curves without derivatives
 FD_STEP_FRACTION = 1e-6
+QUAD_EPSABS = 1e-10  # absolute tolerance of the meridian quadratures
+# bound on max|rho - rho[::-1]| / max rho, and on max|u - u[::-1]|
+SYMMETRY_TOL = 1e-10
 
 
 def simpson_weights(n, h):
@@ -62,7 +65,6 @@ class MeridianCurve:
     d2r: Callable[[float], float]
     z_lo: float
     z_hi: float
-    symmetric: bool = False
 
     @property
     def width(self):
@@ -85,7 +87,7 @@ class MeridianCurve:
                 "use the arc-length gauge near the poles")
 
 
-def meridian_from_callable(r, z_lo, z_hi, dr=None, d2r=None, symmetric=False):
+def meridian_from_callable(r, z_lo, z_hi, dr=None, d2r=None):
     """Build a MeridianCurve, falling back to central differences for
     missing derivatives (step 1e-6 of the domain width, second order)."""
     h = FD_STEP_FRACTION * (z_hi - z_lo)
@@ -93,8 +95,7 @@ def meridian_from_callable(r, z_lo, z_hi, dr=None, d2r=None, symmetric=False):
         dr = lambda z: (r(z + h) - r(z - h)) / (2.0 * h)
     if d2r is None:
         d2r = lambda z: (r(z + h) - 2.0 * r(z) + r(z - h)) / (h * h)
-    return MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=z_lo, z_hi=z_hi,
-                         symmetric=symmetric)
+    return MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=z_lo, z_hi=z_hi)
 
 
 def curvature_meridian(m, z):
@@ -105,7 +106,7 @@ def curvature_meridian(m, z):
     return -m.d2r(z) / (r * (dr * dr + 1.0) ** 2)
 
 
-def _chi_integral(m, integrand, epsabs=1e-10):
+def _chi_integral(m, integrand):
     """Integrate f(z) dz over the domain with the z = mid + a sin(chi)
     substitution that removes the square-root endpoint singularity."""
     a = 0.5 * m.width
@@ -114,9 +115,9 @@ def _chi_integral(m, integrand, epsabs=1e-10):
     def g(chi):
         return integrand(mid + a * np.sin(chi)) * a * np.cos(chi)
 
-    val, err = quad(g, -np.pi / 2, np.pi / 2, epsabs=epsabs, epsrel=1e-12,
+    val, err = quad(g, -np.pi / 2, np.pi / 2, epsabs=QUAD_EPSABS, epsrel=1e-12,
                     limit=400)
-    if err > max(100.0 * epsabs, 1e-8 * abs(val)):
+    if err > max(100.0 * QUAD_EPSABS, 1e-8 * abs(val)):
         raise QuadratureError(f"quadrature error estimate {err} too large")
     return val
 
@@ -148,15 +149,12 @@ def scale(m, lam):
         r=lambda z: lam * m.r(z / lam),
         dr=lambda z: m.dr(z / lam),
         d2r=lambda z: m.d2r(z / lam) / lam,
-        z_lo=lam * m.z_lo, z_hi=lam * m.z_hi, symmetric=m.symmetric)
+        z_lo=lam * m.z_lo, z_hi=lam * m.z_hi)
 
 
-def normalize_to_volume(m, target_area=FOUR_PI):
-    """Rescale the meridian so the surface area equals target_area."""
-    if target_area <= 0:
-        raise ValueError("target_area must be positive")
-    lam = np.sqrt(target_area / area(m))
-    return scale(m, lam)
+def normalize_to_volume(m):
+    """Rescale the meridian so the surface area equals 4 pi."""
+    return scale(m, np.sqrt(FOUR_PI / area(m)))
 
 
 @dataclass
@@ -166,13 +164,27 @@ class ProfileMetric:
     rho, drho and d2rho are node values.  Between nodes rho and drho are cubic
     Hermite (each array interpolated with the next one as its derivative), as
     in the geodesic kernels, and d2rho is the slope of the drho cubic.
+    Building one checks the smooth-pole conditions (GaugeError if they fail);
+    reflection symmetry is not declared but measured by ``to_conformal``.
     """
 
     total_length: float
     rho_grid: np.ndarray
     drho_grid: np.ndarray
     d2rho_grid: np.ndarray
-    symmetric: bool = False
+
+    def __post_init__(self):
+        if self.rho_grid[0] != 0.0 or self.rho_grid[-1] != 0.0:
+            raise GaugeError("rho must vanish at both poles")
+        if np.any(self.rho_grid[1:-1] <= 0.0):
+            raise GaugeError("rho must be positive on the interior")
+        if not np.all(np.isfinite(self.drho_grid)):
+            raise GaugeError("rho' must be finite")
+        # note: |rho'| <= 1 only holds for profiles embeddable in R^3;
+        # abstract metrics of revolution may exceed it, so it is not checked
+        if (abs(self.drho_grid[0] - 1.0) > 1e-7
+                or abs(self.drho_grid[-1] + 1.0) > 1e-7):
+            raise GaugeError("smooth poles require rho' = +1/-1 at the ends")
 
     @property
     def n_nodes(self):
@@ -224,19 +236,6 @@ class ProfileMetric:
                 hi = s_star
             s_star = 0.5 * (lo + hi)
         return s_star, float(self.rho(s_star))
-
-    def validate(self):
-        if self.rho_grid[0] != 0.0 or self.rho_grid[-1] != 0.0:
-            raise GaugeError("rho must vanish at both poles")
-        if np.any(self.rho_grid[1:-1] <= 0.0):
-            raise GaugeError("rho must be positive on the interior")
-        if not np.all(np.isfinite(self.drho_grid)):
-            raise GaugeError("rho' must be finite")
-        # note: |rho'| <= 1 only holds for profiles embeddable in R^3;
-        # abstract metrics of revolution may exceed it, so it is not checked
-        if abs(self.drho_grid[0] - 1.0) > 1e-7 or abs(self.drho_grid[-1] + 1.0) > 1e-7:
-            raise GaugeError("smooth poles require rho' = +1/-1 at the ends")
-        return self
 
 
 def curvature_arclength(p, s):
@@ -297,9 +296,8 @@ def to_arclength(m, n_nodes=4097):
     drho_u[0], drho_u[-1] = 1.0, -1.0
     d2rho_u[0] = d2rho_u[-1] = 0.0
 
-    p = ProfileMetric(total_length=S, rho_grid=rho_u, drho_grid=drho_u,
-                      d2rho_grid=d2rho_u, symmetric=m.symmetric)
-    return p.validate()
+    return ProfileMetric(total_length=S, rho_grid=rho_u, drho_grid=drho_u,
+                         d2rho_grid=d2rho_u)
 
 
 @dataclass
@@ -356,16 +354,11 @@ def conformal_grid(n_nodes):
     return sin_t, cot_t, simpson_weights(n_nodes, np.pi / (n_nodes - 1))
 
 
-def conformal_curvature(c, node=None):
-    """Discrete curvature K = e^{-2u} (1 - lap0 u), second order in the grid.
-
-    Returns the full node array, or a single value when ``node`` is given.
-    """
+def conformal_curvature(c):
+    """Discrete curvature K = e^{-2u} (1 - lap0 u) at every node, second
+    order in the grid."""
     _sin_t, cot_t, _w = conformal_grid(c.n_nodes)
-    K = _kernels.curvature_grid(np.asarray(c.u, dtype=float), c.h, cot_t)
-    if node is None:
-        return K
-    return float(K[node])
+    return _kernels.curvature_grid(np.asarray(c.u, dtype=float), c.h, cot_t)
 
 
 def _log_isothermal(p):
@@ -398,13 +391,18 @@ def _log_isothermal(p):
 def to_conformal(p, n_nodes=2048):
     """Conformal gauge of a reflection-symmetric, area-4pi profile.
 
+    Symmetry is measured: GaugeError if max|rho - rho[::-1]| / max rho over
+    the nodes exceeds SYMMETRY_TOL.
     Matches the isothermal coordinate t(s) of the profile (zero at the
     equator) to the round-sphere Mercator coordinate q(theta) = ln tan(theta/2)
     by one bisection of the increasing t, vectorized over all interior nodes
     and run to adjacent doubles, and sets e^{2u} = rho^2 / sin^2 theta there.
     """
-    if not p.symmetric:
-        raise GaugeError("conformal gauge requires a reflection-symmetric profile")
+    rho = p.rho_grid
+    defect = float(np.max(np.abs(rho - rho[::-1])) / np.max(rho))
+    if defect > SYMMETRY_TOL:
+        raise GaugeError("conformal gauge requires a reflection-symmetric "
+                         f"profile (rho defect {defect:.1e})")
     A = p.area()
     if abs(A - FOUR_PI) > 1e-6 * FOUR_PI:
         raise GaugeError(
@@ -463,6 +461,5 @@ def conformal_to_arclength(c, n_nodes=4097):
     drho_u[0], drho_u[-1] = 1.0, -1.0
     d2rho_u = -K_sp(th_u) * rho_u
 
-    sym = c.symmetry_defect() < 1e-10
     return ProfileMetric(total_length=S, rho_grid=rho_u, drho_grid=drho_u,
-                         d2rho_grid=d2rho_u, symmetric=sym)
+                         d2rho_grid=d2rho_u)

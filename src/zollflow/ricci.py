@@ -22,12 +22,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import FlowInstabilityError
-from .profile import (FOUR_PI, ConformalProfile, conformal_grid,
+from .profile import (FOUR_PI, SYMMETRY_TOL, ConformalProfile, conformal_grid,
                       curvature_arclength)
 
 STABILITY_FACTOR = 0.4
 MAX_STEPS = 50_000_000  # flow steps per checkpoint interval
-SYMMETRY_EPS = 1e-12
 TWO_PI = 2.0 * np.pi
 
 
@@ -61,9 +60,10 @@ def make_state(profile, t=0.0):
                      k_min=float(K.min()), k_max=float(K.max()))
 
 
-def stability_dt(profile, factor=STABILITY_FACTOR):
+def stability_dt(profile):
     """Largest explicit step the diffusive bound allows for this profile."""
-    return factor * profile.h ** 2 * float(np.exp(2.0 * profile.u).min())
+    return (STABILITY_FACTOR * profile.h ** 2
+            * float(np.exp(2.0 * profile.u).min()))
 
 
 def flow_step(state, dt):
@@ -86,7 +86,7 @@ def flow_step(state, dt):
     g = w * np.exp(2.0 * c.u) * sin_t
     k_bar = np.dot(g, K) / g.sum()
     c.u += dt * (k_bar - K)
-    if state.profile.symmetry_defect() < SYMMETRY_EPS:
+    if state.profile.symmetry_defect() < SYMMETRY_TOL:
         c.u = 0.5 * (c.u + c.u[::-1])
     area = TWO_PI * float(np.dot(w, np.exp(2.0 * c.u) * sin_t))
     if not np.isfinite(area) or area <= 0.0:
@@ -111,7 +111,7 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
         checkpoint_every = T
     c = initial.profile.copy()
     sin_t, cot_t, w = conformal_grid(c.n_nodes)
-    symmetrize = 1 if initial.profile.symmetry_defect() < SYMMETRY_EPS else 0
+    symmetrize = 1 if initial.profile.symmetry_defect() < SYMMETRY_TOL else 0
 
     states = [make_state(c.copy(), initial.t)]
     t = initial.t
@@ -160,7 +160,7 @@ class LprimeResult:
     slopes: tuple
 
 
-def lprime_numeric(initial, dt_list, stability_factor=STABILITY_FACTOR):
+def lprime_numeric(initial, dt_list):
     """Finite-difference slope of l(t) at t = 0, Richardson extrapolated.
 
     Each dt in dt_list is a horizon: the flow runs to time dt (with internal
@@ -176,7 +176,7 @@ def lprime_numeric(initial, dt_list, stability_factor=STABILITY_FACTOR):
     l0 = initial.equator_length()
     slopes = []
     for dt in dts:
-        final = evolve(initial, dt, stability_factor=stability_factor)[-1]
+        final = evolve(initial, dt)[-1]
         slopes.append((final.equator_length() - l0) / dt)
 
     if len(dts) == 1:

@@ -25,11 +25,10 @@ INTEGER_TOL = 1e-4
 
 @dataclass(frozen=True)
 class WeinsteinDatum:
-    """Evaluated invariant: i = volume / (L^2 * 4 pi) for n = 2."""
+    """Evaluated invariant: i = volume / (L^2 * 4 pi)."""
 
     volume: float
     L: float
-    n: int
     i_value: float
 
     @property
@@ -41,27 +40,30 @@ class WeinsteinDatum:
         return abs(self.i_value - round(self.i_value))
 
 
-def weinstein_integer(volume, L, n=2):
-    """Evaluate i = vol / (L^n * vol(S^n)).  Only n = 2 is supported."""
-    if n != 2:
-        raise ValueError(f"dimension n = {n} not supported (surfaces only)")
+def weinstein_integer(volume, L):
+    """Evaluate i = vol / (L^n * vol(S^n)) at n = 2, that is
+    vol / (L^2 * 4 pi): the package measures surfaces only."""
     if volume <= 0.0 or L <= 0.0:
         raise ValueError("volume and L must be positive")
-    return WeinsteinDatum(volume=volume, L=L, n=2,
+    return WeinsteinDatum(volume=volume, L=L,
                           i_value=volume / (L * L * FOUR_PI))
 
 
-def common_period(report, spread_tol=SPREAD_TOL):
+def common_period(report):
     """Extract L = (common period) / 2 pi from a sweep report.
 
     Returns (L, uncertainty) with uncertainty = spread / 2 pi.  Raises
-    ZollCertificationError when the measured periods disagree by more than
-    spread_tol: the surface is then not certified to have a common period.
+    ZollCertificationError when the periods disagree by SPREAD_TOL or more,
+    or when an entry did not close to tolerance: the package's one Zoll
+    verdict rule.
     """
-    if report.spread >= spread_tol:
+    if report.spread >= SPREAD_TOL:
         raise ZollCertificationError(
-            f"period spread {report.spread:.3e} >= {spread_tol:g}; "
+            f"period spread {report.spread:.3e} >= {SPREAD_TOL:g}; "
             "no common period certificate")
+    if not report.all_converged:
+        raise ZollCertificationError("a geodesic did not close to "
+                                     "tolerance; no common period certificate")
     return report.mean / TWO_PI, report.spread / TWO_PI
 
 
@@ -72,7 +74,7 @@ class DiscretenessVerdict:
     value: float  # 2 / L^2 as measured
 
 
-def discreteness_check(volume, L, tol=INTEGER_TOL):
+def discreteness_check(volume, L):
     """For a volume-4 pi surface, check the Weinstein constraint 2/L^2 in Z.
 
     The admissible period parameters form a discrete set; a generic L fails.
@@ -87,5 +89,6 @@ def discreteness_check(volume, L, tol=INTEGER_TOL):
         raise ValueError("L must be positive")
     val = 2.0 / (L * L)
     nearest = int(round(val))
-    return DiscretenessVerdict(passed=abs(val - nearest) < tol and nearest > 0,
+    return DiscretenessVerdict(passed=abs(val - nearest) < INTEGER_TOL
+                               and nearest > 0,
                                integer=nearest, value=val)

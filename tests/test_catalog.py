@@ -128,4 +128,4 @@ class TestMichel:
             def deriv(self, x):
                 return np.zeros_like(np.asarray(x, dtype=float))
         with pytest.raises(ValueError):
-            zf.michel_surface(NearOne(), n_nodes=257, theta_samples=1025)
+            zf.michel_surface(NearOne(), n_nodes=257)

@@ -70,7 +70,7 @@ def odd_functions(draw):
 @settings(**COMMON)
 @given(h=odd_functions())
 def test_michel_area_is_4pi(h):
-    p = zf.michel_surface(h, n_nodes=1025, theta_samples=4097)
+    p = zf.michel_surface(h, n_nodes=1025)
     assert p.total_length == pytest.approx(np.pi, abs=1e-8)
     assert p.area() == pytest.approx(FOUR_PI, rel=1e-8)
 

@@ -1,5 +1,7 @@
 """Normalized flow stepping, diagnostics, first variation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,16 @@ class TestEvolve:
         st = exc.value.state
         assert np.all(np.isfinite(st.profile.u))
         assert st.t in (0.0, 1e-3, 2e-3)
+
+    def test_blowup_is_silent(self):
+        # the typed error reports the blow-up; numpy adds no warnings
+        c0 = cli.build_conformal(
+            cli.RunConfig(surface="gong_normalized", n_nodes=256))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FlowInstabilityError):
+                zf.evolve(zf.make_state(c0), 0.05, stability_factor=3.0)
+        assert [str(w.message) for w in caught] == []
 
     def test_rejects_bad_horizon(self, gong_conf):
         with pytest.raises(ValueError):

@@ -29,10 +29,6 @@ class TestInteger:
             b = zf.weinstein_integer(lam**2 * FOUR_PI, lam * 1.0).i_value
             assert a == pytest.approx(b, rel=1e-14)
 
-    def test_rejects_other_dimensions(self):
-        with pytest.raises(ValueError):
-            zf.weinstein_integer(FOUR_PI, 1.0, n=3)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             zf.weinstein_integer(-1.0, 1.0)
@@ -57,6 +53,14 @@ class TestCommonPeriod:
         rep = zf.zoll_sweep(gongn_p, n_samples=4)
         with pytest.raises(ZollCertificationError):
             zf.common_period(rep)
+
+    def test_unconverged_entry_rejected(self):
+        # equal periods, but one geodesic never closed to tolerance
+        entries = [zf.PeriodEntry(clairaut_c=c, period=2.0 * np.pi,
+                                  closure_error=0.0, converged=c != 0.5)
+                   for c in (0.0, 0.5, 1.0)]
+        with pytest.raises(ZollCertificationError):
+            zf.common_period(zf.PeriodReport(entries=entries))
 
 
 class TestDiscreteness:
