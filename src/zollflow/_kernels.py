@@ -16,8 +16,11 @@ supplied as value/derivative samples on a uniform s-grid and evaluated with
 cubic Hermite interpolation.  The integrator is an adaptive Dormand-Prince
 5(4) pair with error-per-unit-length control, so accumulated drift over a
 trajectory of length ell stays of order tol * ell.  ``integrate_kernel`` is
-the one adaptive march: it records every accepted step, and section
-crossings are read off that record and refined by ``section_crossing``.
+the one adaptive march: it records every accepted step and, given a
+section, stops at the first step that carries s upward through it; that
+crossing is refined by ``section_crossing``.  Both loops run on Python
+floats (the grids are converted with ``tolist`` and the record is kept in
+lists): arithmetic on numpy scalars costs several times as much.
 """
 
 import math
@@ -30,16 +33,17 @@ ERR_POLE = 1          # rho <= 0 encountered with nonzero angular momentum
 ERR_MAX_STEPS = 2
 ERR_DT_UNDERFLOW = 3
 ERR_NAN = 4
+SECTION = 5           # the march stopped at its first return to the section
 
 
 def hermite_eval(x, h, values, derivs):
     """Cubic Hermite interpolation on a uniform grid starting at 0.
 
-    Scalar form for the step loop; ``hermite_vec`` is the array form and
-    must agree with it bitwise.  Points off the grid use the nearest end
-    cell's cubic.
+    Scalar form for the step loop, where values and derivs are Python
+    lists; ``hermite_vec`` is the array form and must agree with it bitwise.
+    Points off the grid use the nearest end cell's cubic.
     """
-    n = values.shape[0]
+    n = len(values)
     i = int(x / h)
     if i < 0:
         i = 0
@@ -84,8 +88,8 @@ def _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a):
     if rho <= 0.0:
         return 0.0, 0.0, 0.0, False
     drho = hermite_eval(s, h, drho_a, d2rho_a)
-    sp = np.sin(psi)
-    return np.cos(psi), sp / rho, -(drho / rho) * sp, True
+    sp = math.sin(psi)
+    return math.cos(psi), sp / rho, -(drho / rho) * sp, True
 
 
 def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a):
@@ -189,19 +193,26 @@ def _next_dt(q, dt):
     return dt * fac
 
 
+def _as_floats(h, *grids):
+    """h as a float and the profile grids as lists, for the step loops."""
+    return (float(h),) + tuple(g.tolist() for g in grids)
+
+
 def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
-                     length, tol, max_steps):
+                     length, tol, max_steps, section=None):
     """Integrate a geodesic for a fixed arc length, recording each step.
 
-    Returns (status, (tau, s, phi, psi, dt)): the states at tau = 0 and
-    after every accepted step, and the size of each accepted step (one
-    fewer entry).  The last step is clamped to end exactly at tau = length;
-    on a failure the trajectory stops at the last accepted step.
+    Returns (status, (tau, s, phi, psi, dt)), lists of floats: the states
+    at tau = 0 and after every accepted step, and the size of each accepted
+    step (one fewer entry).  The last step is clamped to end exactly at
+    tau = length; on a failure the record stops at the last accepted step.
+    With a section, the march stops with status SECTION after the first
+    accepted step that carries s from below section to section or above:
+    the first return to that parallel is then the record's last step.
     """
+    h, rho_a, drho_a, d2rho_a = _as_floats(h, rho_a, drho_a, d2rho_a)
+    s, phi, psi, length, tol = map(float, (s0, phi0, psi0, length, tol))
     tau = 0.0
-    s = s0
-    phi = phi0
-    psi = psi0
     tau_l = [tau]
     s_l = [s]
     phi_l = [phi]
@@ -223,6 +234,8 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
             break
         q = _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq)
         if q <= 1.0:
+            if section is not None and s < section <= s5:
+                status = SECTION
             tau += dt
             s = s5
             phi = phi5
@@ -232,24 +245,27 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
             phi_l.append(phi)
             psi_l.append(psi)
             dt_l.append(dt)
+            if status == SECTION:
+                break
         dt = _next_dt(q, dt)
         if dt < dt_min:
             status = ERR_DT_UNDERFLOW
             break
     if status == OK and tau < length:
         status = ERR_MAX_STEPS
-    return status, (np.array(tau_l), np.array(s_l), np.array(phi_l),
-                    np.array(psi_l), np.array(dt_l))
+    return status, (tau_l, s_l, phi_l, psi_l, dt_l)
 
 
 def section_crossing(h, rho_a, drho_a, d2rho_a, traj, i, s_section):
-    """Where accepted step i of an ``integrate_kernel`` trajectory, which
+    """Where accepted step i of an ``integrate_kernel`` record, which
     carries s upward through s_section, reaches the section.
 
     The crossing is refined by 60 bisections on the sub-step size from the
     step's start; if none reaches the section, the step's end is used.
     Returns (tau, s, phi, psi) at the crossing.
     """
+    h, rho_a, drho_a, d2rho_a = _as_floats(h, rho_a, drho_a, d2rho_a)
+    s_section = float(s_section)
     tau, s, phi, psi, dt = traj
     lo = 0.0
     hi = dt[i]

@@ -256,11 +256,12 @@ def cmd_weinstein(config):
             "certified": False, "reason": str(e),
             "period_spread": report.spread}))
         return EXIT_CERT
-    datum = weinstein.weinstein_integer(p.area(), L)
-    verdict = weinstein.discreteness_check(p.area(), L) \
-        if abs(p.area() - FOUR_PI) < 1e-6 else None
+    area = p.area()
+    datum = weinstein.weinstein_integer(area, L)
+    verdict = weinstein.discreteness_check(area, L) \
+        if abs(area - FOUR_PI) < 1e-6 else None
     payload = {
-        "certified": True,
+        "certified": datum.positive_integer,
         "L": L,
         "L_uncertainty": uncertainty,
         "i_value": datum.i_value,
@@ -271,8 +272,11 @@ def cmd_weinstein(config):
         payload["discreteness"] = {
             "passed": verdict.passed, "integer": verdict.integer,
             "value": verdict.value}
+    if not datum.positive_integer:
+        payload["reason"] = (f"Weinstein invariant i = {datum.i_value:.12g} "
+                             "is not a positive integer")
     _emit(config, _json_report(config, payload))
-    return EXIT_OK
+    return EXIT_OK if datum.positive_integer else EXIT_CERT
 
 
 def cmd_lprime(config):

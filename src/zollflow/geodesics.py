@@ -1,15 +1,17 @@
 """Geodesic integration, period measurement, and common-period sweeps.
 
 All trajectories run in the arc-length gauge through the one adaptive
-march in ``_kernels``.  Period measurement marches to the horizon and reads
-the returns off the recorded trajectory: upward crossings of the Poincare
-section s = s0 (the starting parallel), each refined by bisection within
-its step.  By the Clairaut relation
-rho(s) sin(psi) = const, a trajectory returning through its starting
-parallel with the same sign of ds/dtau automatically repeats its heading, so
-closure only hinges on the accumulated longitude being a multiple of 2 pi.
-The meridian (c = 0) and the equator itself close in closed form (lengths
-2 S and 2 pi rho_max) and are handled without integration.
+march in ``_kernels``.  Period measurement marches one latitude
+oscillation: from the starting parallel s = s0 (the Poincare section) to
+the first step that carries s upward through it again, refined by
+bisection within that step.  Every later return follows in closed form.
+By the Clairaut relation rho(s) sin(psi) = const, and with ds/dtau > 0 at
+the section, a return repeats the starting heading; the flow commutes with
+rotation in phi, so return n sits at tau = n tau1 with longitude
+phi0 + n (phi1 - phi0) (Besse 1978, ch. 4).  Closure thus only hinges on
+the accumulated longitude being a multiple of 2 pi.  The meridian (c = 0)
+and the equator itself close in closed form (lengths 2 S and 2 pi rho_max)
+and are handled without integration.
 """
 
 from dataclasses import dataclass
@@ -96,9 +98,10 @@ def _raise_for_status(status, context):
         raise NumericalAbort(f"{context}: step budget exhausted")
 
 
-def _march(p, init, length, tol):
+def _march(p, init, length, tol, section=None):
     return _kernels.integrate_kernel(
-        *_kernel_args(p), init.s, init.phi, init.psi, length, tol, MAX_STEPS)
+        *_kernel_args(p), init.s, init.phi, init.psi, length, tol, MAX_STEPS,
+        section)
 
 
 def integrate(p, init, length, tol=DEFAULT_TOL):
@@ -131,29 +134,34 @@ def find_period(p, init, tol=1e-6, integrator_tol=DEFAULT_TOL,
                 horizon=DEFAULT_HORIZON):
     """Smallest return time of a geodesic to its initial state.
 
-    The first MAX_RETURNS upward section crossings within the horizon are
-    candidate returns; the first one with closure distance <= tol is the
-    period.  If no candidate closes to tolerance, the crossing with the
+    The march stops at the first upward crossing of the section s = init.s,
+    which is refined to the first return (tau1, phi1, psi1).  Return n is
+    then (s0, phi1 + (n - 1)(phi1 - phi0), psi1) at tau = n tau1 (see the
+    module docstring); the candidates are n = 1 .. MAX_RETURNS with
+    n tau1 <= horizon, and the first one with closure distance <= tol is
+    the period.  If no candidate closes to tolerance, the one with the
     smallest closure distance is returned with converged=False (on a
     surface with non-closing geodesics this measures the
-    latitude-oscillation quasi-period).  Returns found before a failed march
-    still count.  Raises NoClosureError if the section is never re-crossed
-    within the horizon, NumericalAbort if the march failed before a return.
+    latitude-oscillation quasi-period).  Raises NoClosureError if the
+    section is not re-crossed within the horizon, NumericalAbort if the
+    march failed before the first return.
     """
     if np.cos(init.psi) <= 1e-12:
         raise ValueError("initial heading must have ds/dtau > 0 off the "
                          "equator; use the closed-form equator period instead")
-    status, traj = _march(p, init, horizon, integrator_tol)
-    s = traj[1]
-    steps = np.flatnonzero((s[:-1] < init.s) & (s[1:] >= init.s))
-    if steps.size == 0:
+    status, traj = _march(p, init, horizon, integrator_tol, section=init.s)
+    if status != _kernels.SECTION:
         _raise_for_status(status, "find_period")
         raise NoClosureError(f"no section return within horizon {horizon}")
+    tau1, s1, phi1, psi1 = _kernels.section_crossing(
+        *_kernel_args(p), traj, len(traj[0]) - 2, init.s)
+    dphi = phi1 - init.phi
     best = None
-    for i in steps[:MAX_RETURNS]:
-        tau, cs, cphi, cpsi = _kernels.section_crossing(
-            *_kernel_args(p), traj, i, init.s)
-        cand = GeodesicState(s=cs, phi=cphi, psi=cpsi, tau=tau)
+    for n in range(1, MAX_RETURNS + 1):
+        if n > 1 and n * tau1 > horizon:
+            break
+        cand = GeodesicState(s=s1, phi=phi1 + (n - 1) * dphi, psi=psi1,
+                             tau=n * tau1)
         d = closure_distance(p, init, cand)
         if d <= tol:
             return PeriodEntry(clairaut_c=init.clairaut(p), period=cand.tau,

@@ -39,6 +39,12 @@ class WeinsteinDatum:
     def residual(self):
         return abs(self.i_value - round(self.i_value))
 
+    @property
+    def positive_integer(self):
+        """Whether i is within INTEGER_TOL of an integer >= 1, as the
+        theorem requires of a Zoll surface."""
+        return self.residual < INTEGER_TOL and self.nearest >= 1
+
 
 def weinstein_integer(volume, L):
     """Evaluate i = vol / (L^n * vol(S^n)) at n = 2, that is

@@ -161,6 +161,24 @@ class TestOutputs:
         assert d["i_nearest"] == 1
         assert d["discreteness"]["passed"]
 
+    def test_weinstein_refuses_non_integer_i(self, tmp_path, monkeypatch):
+        # a common period 2 pi sqrt 2 on the round sphere gives i = 1/2,
+        # which the 2/L^2 test alone would accept
+        period = 2.0 * np.pi * np.sqrt(2.0)
+        report = geodesics.PeriodReport(entries=[
+            geodesics.PeriodEntry(clairaut_c=c, period=period,
+                                  closure_error=0.0, converged=True)
+            for c in (0.0, 0.5, 1.0)])
+        monkeypatch.setattr(geodesics, "zoll_sweep", lambda *a, **k: report)
+        out = tmp_path / "w.json"
+        assert run(["weinstein", "--surface", "round", "--nodes", "512",
+                    "--samples", "3", "--out", str(out)]) == 2
+        d = json.loads(out.read_text())
+        assert not d["certified"]
+        assert d["i_value"] == pytest.approx(0.5, abs=1e-9)
+        assert "not a positive integer" in d["reason"]
+        assert d["discreteness"]["passed"]
+
     def test_weinstein_gong_fails(self, tmp_path):
         out = tmp_path / "w.json"
         assert run(["weinstein", "--surface", "gong_normalized",

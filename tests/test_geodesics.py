@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zollflow as zf
-from zollflow import geodesics
+from zollflow import _kernels, geodesics
 from zollflow.errors import NoClosureError, NumericalAbort
 
 TWO_PI = 2.0 * np.pi
@@ -82,6 +82,84 @@ class TestFindPeriod:
         e = zf.find_period(gongn_p, init, tol=1e-6)
         assert not e.converged
         assert e.closure_error > 1e-3
+
+
+def full_horizon_returns(p, init, horizon, tol=geodesics.DEFAULT_TOL):
+    """Oracle that does not use the rotation symmetry: march the whole
+    horizon and refine every upward crossing of the starting parallel."""
+    status, traj = _kernels.integrate_kernel(
+        *geodesics._kernel_args(p), init.s, init.phi, init.psi, horizon, tol,
+        geodesics.MAX_STEPS)
+    assert status == _kernels.OK
+    s = np.array(traj[1])
+    steps = np.flatnonzero((s[:-1] < init.s) & (s[1:] >= init.s))
+    return [_kernels.section_crossing(*geodesics._kernel_args(p), traj, int(i),
+                                      init.s)
+            for i in steps]
+
+
+def first_return(p, init, horizon):
+    """The first return as find_period computes it: (tau, s, phi, psi)."""
+    status, traj = geodesics._march(p, init, horizon, geodesics.DEFAULT_TOL,
+                                    section=init.s)
+    assert status == _kernels.SECTION
+    return _kernels.section_crossing(*geodesics._kernel_args(p), traj,
+                                     len(traj[0]) - 2, init.s)
+
+
+class TestFirstReturn:
+    @pytest.fixture(params=["gong", "michel"])
+    def start(self, request, gongn_p, michel_p):
+        p = gongn_p if request.param == "gong" else michel_p
+        # Clairaut constant c = rho_max / 2
+        return p, zf.GeodesicState(s=p.equator()[0], phi=0.3,
+                                   psi=float(np.arcsin(0.5)))
+
+    def test_later_returns_match_full_march(self, start):
+        p, init = start
+        returns = full_horizon_returns(p, init, 4.5 * TWO_PI)
+        assert len(returns) >= 4
+        tau1, s1, phi1, psi1 = first_return(p, init, 4.5 * TWO_PI)
+        assert (tau1, s1, phi1, psi1) == returns[0]
+        for n, (tau, _s, phi, _psi) in enumerate(returns[:4], start=1):
+            assert abs(tau - n * tau1) < 1e-8
+            assert abs(phi - (init.phi + n * (phi1 - init.phi))) < 1e-8
+
+    def test_period_is_first_return_or_closed_form(self, start):
+        p, init = start
+        returns = full_horizon_returns(p, init, geodesics.DEFAULT_HORIZON)
+        e = zf.find_period(p, init)
+        tau1 = returns[0][0]
+        n = round(e.period / tau1)
+        assert abs(e.period - returns[n - 1][0]) < 1e-8
+        if e.converged:  # Zoll: the first return closes, bitwise equal
+            assert e.period == tau1
+
+    def test_march_ends_at_first_return(self, start, monkeypatch):
+        p, init = start
+        tau1 = full_horizon_returns(p, init, 1.5 * TWO_PI)[0][0]
+        ends = []
+        kernel = _kernels.integrate_kernel
+
+        def spy(*args, **kwargs):
+            status, traj = kernel(*args, **kwargs)
+            ends.append(traj[0][-1])
+            return status, traj
+
+        monkeypatch.setattr(_kernels, "integrate_kernel", spy)
+        zf.find_period(p, init)
+        assert len(ends) == 1
+        assert tau1 <= ends[0] < tau1 + 0.5
+        assert ends[0] < 0.25 * geodesics.DEFAULT_HORIZON
+
+    def test_horizon_before_second_return(self, gongn_p):
+        s_eq, rho_max = gongn_p.equator()
+        init = zf.GeodesicState(s=s_eq, phi=0.0,
+                                psi=float(np.arcsin(0.5 / rho_max)))
+        tau1 = full_horizon_returns(gongn_p, init, 2.0 * TWO_PI)[0][0]
+        e = zf.find_period(gongn_p, init, horizon=1.5 * tau1)
+        assert not e.converged
+        assert e.period == tau1
 
 
 class TestSweep:

@@ -39,6 +39,11 @@ def test_hermite_scalar_and_array_agree(michel_p):
         vec = _kernels.hermite_vec(x, p.h, values, derivs)
         scalar = [_kernels.hermite_eval(xi, p.h, values, derivs) for xi in x]
         assert np.array_equal(vec, scalar)
+        # the geodesic march's form: Python floats and lists
+        vl, dl = values.tolist(), derivs.tolist()
+        floats = [_kernels.hermite_eval(xi, float(p.h), vl, dl)
+                  for xi in x.tolist()]
+        assert np.array_equal(vec, floats)
 
 
 class TestMeridianGauge:
