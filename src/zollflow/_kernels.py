@@ -1,7 +1,9 @@
 """Hot numeric kernels: geodesic stepping and the explicit flow.
 
-The geodesic kernels are scalar loops, since their cost is per step; the
-flow kernels are vectorized over the theta grid, since theirs is per node.
+The geodesic kernels are scalar loops, since their cost is per step.  The
+flow kernel is vectorized over the theta grid, or over its half up to the
+equator for reflection-symmetric data; at the grid sizes used a flow step
+costs about one numpy dispatch per array operation, so it keeps those few.
 
 Geodesics on an axisymmetric metric ds^2 + rho(s)^2 dphi^2 are integrated in
 the state (s, phi, psi) with psi the heading measured from the meridian
@@ -34,6 +36,10 @@ ERR_MAX_STEPS = 2
 ERR_DT_UNDERFLOW = 3
 ERR_NAN = 4
 SECTION = 5           # the march stopped at its first return to the section
+
+# flow_kernel folds its area renormalization back into the state once it
+# leaves this range
+LAM_RANGE = (0.5, 2.0)
 
 
 def hermite_eval(x, h, values, derivs):
@@ -303,75 +309,99 @@ def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,
                 stability_factor, symmetrize, max_steps):
     """Advance the normalized flow u_t = Kbar - K from t_start to t_target.
 
-    Each step renormalizes the area back to 4*pi; with symmetrize nonzero u
-    is also averaged about the equator (legal only for reflection-symmetric
-    data).  ``w`` are quadrature weights for the theta grid.  Modifies u in
-    place; returns (status, t_reached, n_steps).
+    Each step renormalizes the area back to 4*pi.  ``w`` are quadrature
+    weights for the theta grid.  Modifies u in place, also when the step
+    budget runs out; returns (status, t_reached, n_steps).
 
     The step size is stability_factor * h^2 * min e^{2u}, capped by dt_cap
-    (when positive) and by the time left.  Each step is ``curvature_grid``
-    rearranged to need one exp: with q = 1 - lap0 u, K = q / e^{2u}, and
-    the area weight e^{2u} cancels in Kbar = ws.q / ws.e^{2u} (ws = w sin).
-    The e^{2u} computed for the area after a step is rescaled by the
-    renormalization and carried into the next step.  The interior stencil
-    is precomputed as coefficients of u[i+1], u[i], u[i-1], and every
-    update runs in place, so a step allocates no arrays.
+    (when positive) and by the time left.  A step is ``curvature_grid``
+    arranged for few numpy calls:
+    - Kbar is left out of the update: it shifts u by the constant dt*Kbar,
+      which the area renormalization removes again.
+    - q = 1 - lap0 u = 1 + beta_i D[i] - alpha_i D[i+1], with D the first
+      differences of u between zero ghosts; the pole rows are folded into
+      alpha and beta.  K = q / e^{2u}.
+    - The kernel carries v = 2u - ln(lam), with lam the area
+      renormalization as a scalar, so e^{2u} = lam e^v and one exp per step
+      serves the curvature, the dt rule and the area.  v drifts by about
+      -2t, so lam is folded back into v whenever it leaves LAM_RANGE, and
+      at the end.
+    With symmetrize nonzero (legal only for reflection-symmetric data) u is
+    averaged with its mirror image once and only nodes 0 .. ceil(n/2) - 1
+    are stepped, with folded weights and a mirror row at the equator; the
+    mirror image is written back at the end.
     """
     n = u.shape[0]
     h2 = h * h
-    half_cot = cot_t[1:-1] / (2.0 * h)
-    a = -(1.0 / h2 + half_cot)  # coefficient of u[i+1] in q
-    b = 2.0 / h2                # coefficient of u[i]
-    c = -(1.0 / h2 - half_cot)  # coefficient of u[i-1]
-    pole = 4.0 / h2
+    sf_h2 = stability_factor * h2
     ws = w * sin_t
-    e2u = np.exp(2.0 * u)
-    q = np.empty(n)
-    qi = q[1:-1]
-    tmp = np.empty(n - 2)
-    u_next, u_mid, u_prev, u_rev = u[2:], u[1:-1], u[:-2], u[::-1]
+    # stencil of lap0 in v = 2u, hence the halved coefficients
+    alpha = (1.0 / h2 + cot_t / (2.0 * h)) * 0.5
+    beta = (1.0 / h2 - cot_t / (2.0 * h)) * 0.5
+    alpha[0], beta[0] = 2.0 / h2, 0.0     # 2 u'' with the ghost D[0] = 0
+    alpha[-1], beta[-1] = 0.0, 2.0 / h2   # and with the ghost D[n] = 0
+    m = n
+    v = 2.0 * u
+    if symmetrize != 0:
+        m = (n + 1) // 2
+        v = u[:m] + u[::-1][:m]  # twice u averaged with its mirror image
+        ws = ws[:m] + ws[::-1][:m]
+        if n % 2 == 1:
+            # the equator is its own mirror: D[m] = -D[m-1], weight once
+            ws[-1] *= 0.5
+            beta[m - 1] += alpha[m - 1]
+        # even n: D[m] = u[m] - u[m-1] = 0, the ghost as it stands
+        alpha, beta = alpha[:m], beta[:m]
+    ev = np.exp(v)
+    lam = 1.0
+    lam_lo, lam_hi = LAM_RANGE
+    d = np.zeros(m + 1)
+    d_in, d_lo, d_hi = d[1:-1], d[:-1], d[1:]
+    v_next, v_prev = v[1:], v[:-1]
+    q = np.empty(m)
+    tmp = np.empty(m)
     t = t_start
     steps = 0
     status = OK
-    # the den2 check reports a blow-up, so numpy's warnings are muted
+    # the den check reports a blow-up, so numpy's warnings are muted
     with np.errstate(all="ignore"):
         for _ in range(max_steps):
             if t >= t_target:
                 break
-            np.multiply(a, u_next, out=qi)
-            np.multiply(c, u_prev, out=tmp)
-            qi += tmp
-            np.multiply(b, u_mid, out=tmp)
-            qi += tmp
-            qi += 1.0
-            q[0] = 1.0 - pole * (u[1] - u[0])
-            q[-1] = 1.0 - pole * (u[-2] - u[-1])
-            kbar = np.dot(ws, q) / np.dot(ws, e2u)
-            dt = stability_factor * h * h * e2u.min()
+            np.subtract(v_next, v_prev, out=d_in)
+            np.multiply(beta, d_lo, out=q)
+            np.multiply(alpha, d_hi, out=tmp)
+            q -= tmp
+            q += 1.0
+            dt = sf_h2 * (lam * float(ev.min()))
             if dt_cap > 0.0 and dt > dt_cap:
                 dt = dt_cap
             if dt > t_target - t:
                 dt = t_target - t
-            np.divide(q, e2u, out=q)  # K
-            np.subtract(kbar, q, out=q)
-            q *= dt
-            u += q
-            if symmetrize != 0:
-                # e2u holds u + u[::-1], twice the symmetrized u, until the exp
-                np.add(u, u_rev, out=e2u)
-                np.multiply(e2u, 0.5, out=u)
-            else:
-                np.multiply(u, 2.0, out=e2u)
-            np.exp(e2u, out=e2u)
-            den2 = float(np.dot(ws, e2u))  # area/(4 pi) = den2/2
+            np.divide(q, ev, out=q)  # lam K
+            q *= 2.0 * dt / lam
+            v -= q
+            np.exp(v, out=ev)
+            den = float(np.dot(ws, ev))  # area/(4 pi) = lam den/2
             t += dt
             steps += 1
-            # a NaN or inf anywhere in u reaches den2 (0 * NaN is NaN)
-            if not (math.isfinite(den2) and den2 > 0.0):
+            # a NaN or inf anywhere in v reaches den (0 * NaN is NaN)
+            if not (math.isfinite(den) and den > 0.0):
                 status = ERR_NAN
                 break
-            u -= 0.5 * math.log(0.5 * den2)
-            e2u *= 2.0 / den2
+            lam = 2.0 / den
+            if not lam_lo < lam < lam_hi:
+                lam = _fold(v, ev, lam)
+    u[:m] = 0.5 * (v + math.log(lam))
+    if m < n:
+        u[n - m:] = u[m - 1::-1]
     if status == OK and t < t_target:
         status = ERR_MAX_STEPS
     return status, t, steps
+
+
+def _fold(v, ev, lam):
+    """Fold the renormalization lam into v and e^v in place; the new lam."""
+    v += math.log(lam)
+    ev *= lam
+    return 1.0

@@ -163,16 +163,21 @@ def build_profile(config):
 
 
 def build_conformal(config):
-    """Conformal profile for the flow: area-normalized to 4 pi first."""
+    """Conformal profile for the flow: area-normalized to 4 pi first.
+
+    ``to_conformal`` measures the reflection symmetry it needs, so a Michel
+    surface flows when its odd function vanishes and is a gauge error
+    otherwise.
+    """
     if config.surface == "round":
         return ConformalProfile(u=np.zeros(config.n_nodes))
+    n_fine = 4 * config.n_nodes + 1
     meridian = MERIDIANS[config.surface]
     if meridian is None:
-        raise ConfigError(
-            "surface: the flow front end requires a reflection-symmetric "
-            "surface (round or gong)")
-    m = normalize_to_volume(meridian())
-    p = to_arclength(m, n_nodes=4 * config.n_nodes + 1)
+        h = catalog.OddFunction(tuple(config.coeffs))
+        p = catalog.michel_surface(h, n_nodes=n_fine)  # area 4 pi already
+    else:
+        p = to_arclength(normalize_to_volume(meridian()), n_nodes=n_fine)
     return to_conformal(p, n_nodes=config.n_nodes)
 
 

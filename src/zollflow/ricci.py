@@ -8,8 +8,9 @@ dg/dt = -2 (K - Kbar) g becomes the scalar parabolic equation
 with lap0 the round Laplacian acting on axisymmetric functions.  Steps are
 explicit Euler under the diffusive bound dt <= factor * h^2 * min(e^{2u});
 every step renormalizes the area back to 4 pi (the continuum flow preserves
-it, the discretization drifts) and, for symmetric data, re-pins the
-reflection symmetry about the equator.
+it, the discretization drifts).  Reflection-symmetric data (symmetry
+measured against SYMMETRY_TOL) is made exactly symmetric once and stepped
+on the half grid up to the equator, so it stays symmetric.
 
 The equator length l(t) = 2 pi e^{u(pi/2, t)} and its first variation
 l'(0) = -2 pi (K_eq - Kbar) are the quantities the rest of the package cares

@@ -68,8 +68,24 @@ class TestExitCodes:
         assert err.startswith("config error: ") and field in err
 
     def test_michel_flow_rejected(self, capsys):
+        # a nonzero odd function breaks the reflection symmetry the
+        # conformal gauge measures
         assert run(["flow", "--surface", "michel", "--coeffs", "0.2,-0.2",
                     "--nodes", "256", "--T", "0.001"]) == 1
+        assert capsys.readouterr().err.startswith("gauge error: ")
+
+    def test_michel_flow_without_coeffs(self, tmp_path):
+        # h = 0 is the round sphere, and flows as one
+        out = tmp_path / "f.csv"
+        assert run(["flow", "--surface", "michel", "--nodes", "256",
+                    "--T", "0.001", "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if ln and not ln.startswith(("#", "t,"))]
+        assert len(rows) == 2
+        for _t, length, k_dev, area, _k_bar in rows:
+            assert float(length) == pytest.approx(2.0 * np.pi, rel=1e-9)
+            assert float(k_dev) < 1e-8
+            assert float(area) == pytest.approx(FOUR_PI, rel=1e-9)
 
     def test_numerical_abort_exit_code(self, monkeypatch, capsys):
         def abort(*args, **kwargs):

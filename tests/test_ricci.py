@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import zollflow as zf
-from zollflow import cli
+from zollflow import _kernels, cli, ricci
 from zollflow.errors import FlowInstabilityError
-from zollflow.profile import FOUR_PI
+from zollflow.profile import FOUR_PI, SYMMETRY_TOL
 from zollflow.ricci import stability_dt
 
 # frozen oracles for the area-4pi gong (30-digit quadrature, see test_catalog)
@@ -107,7 +107,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n", [513, 1024])
     def test_automatic_dt_matches_flow_step(self, areanorm_p, n):
-        # the one-exp kernel with its own dt rule against the one-step path
+        # the kernel with its own dt rule against the one-step path
         st = zf.make_state(zf.to_conformal(areanorm_p, n_nodes=n))
         stepped = st
         for _ in range(50):
@@ -117,6 +117,75 @@ class TestEvolve:
                                    rtol=0, atol=1e-12)
         assert final.t == stepped.t
         assert final.profile.symmetry_defect() == 0.0
+
+    @pytest.mark.parametrize("n", [513, 1024])
+    @pytest.mark.parametrize("bump", [0.05, 0.5e-12])
+    def test_asymmetric_data_matches_flow_step(self, areanorm_p, n, bump):
+        # as above on u + bump cos(theta): a symmetry defect of 0.1 steps the
+        # full grid; one of 1e-12, below SYMMETRY_TOL, is averaged away once
+        # and then steps the half grid
+        c = zf.to_conformal(areanorm_p, n_nodes=n)
+        c.u += bump * np.cos(np.linspace(0.0, np.pi, n))
+        assert c.symmetry_defect() == pytest.approx(2.0 * bump, rel=1e-3)
+        st = zf.make_state(c)
+        stepped = st
+        for _ in range(50):
+            stepped = zf.flow_step(stepped, stability_dt(stepped.profile))
+        final = zf.evolve(st, stepped.t)[-1]
+        np.testing.assert_allclose(final.profile.u, stepped.profile.u,
+                                   rtol=0, atol=1e-12)
+        assert final.t == stepped.t
+        if 2.0 * bump < SYMMETRY_TOL:
+            assert final.profile.symmetry_defect() == 0.0
+        else:
+            assert final.profile.symmetry_defect() > 0.09
+
+    def test_renormalization_folds_back(self, monkeypatch):
+        # v = 2u - ln(lam) drifts by about -2t; over one checkpoint interval
+        # to t = 1.5 lam leaves LAM_RANGE, and is folded back, several times
+        folds = []
+        fold = _kernels._fold
+
+        def spy(v, ev, lam):
+            folds.append(lam)
+            return fold(v, ev, lam)
+
+        monkeypatch.setattr(_kernels, "_fold", spy)
+        c0 = cli.build_conformal(
+            cli.RunConfig(surface="gong_normalized", n_nodes=64))
+        st = zf.make_state(c0)
+        stepped = st
+        while stepped.t < 1.5:
+            stepped = zf.flow_step(stepped, stability_dt(stepped.profile))
+        final = zf.evolve(st, stepped.t)[-1]
+        assert len(folds) >= 2
+        assert np.all(np.isfinite(final.profile.u))
+        assert final.area == pytest.approx(FOUR_PI, abs=1e-8)
+        np.testing.assert_allclose(final.profile.u, stepped.profile.u,
+                                   rtol=0, atol=1e-12)
+
+        # the round sphere stays at its discrete fixed point
+        folds.clear()
+        c0 = zf.ConformalProfile(u=np.zeros(257))
+        final = zf.evolve(zf.make_state(c0), 1.5)[-1]
+        assert len(folds) >= 2
+        assert final.area == pytest.approx(FOUR_PI, abs=1e-8)
+        assert np.max(np.abs(final.profile.u)) < 1e-9
+
+    def test_step_budget_attaches_state_reached(self, monkeypatch, gong_conf):
+        # the half-grid state is mirrored back into u when the budget runs out
+        monkeypatch.setattr(ricci, "MAX_STEPS", 5)
+        st = zf.make_state(gong_conf.copy())
+        with pytest.raises(FlowInstabilityError) as exc:
+            zf.evolve(st, 1e-3)
+        stepped = st
+        for _ in range(5):
+            stepped = zf.flow_step(stepped, stability_dt(stepped.profile))
+        reached = exc.value.state
+        assert reached.t == pytest.approx(stepped.t, rel=1e-12)
+        np.testing.assert_allclose(reached.profile.u, stepped.profile.u,
+                                   rtol=0, atol=1e-12)
+        assert reached.profile.symmetry_defect() == 0.0
 
     def test_nan_state_raises(self, gong_conf):
         c = gong_conf.copy()
