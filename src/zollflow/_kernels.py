@@ -1,9 +1,10 @@
-"""Hot numeric kernels: geodesic stepping and the explicit flow.
+"""Hot numeric kernels: geodesic stepping and the implicit flow.
 
 The geodesic kernels are scalar loops, since their cost is per step.  The
 flow kernel is vectorized over the theta grid, or over its half up to the
-equator for reflection-symmetric data; at the grid sizes used a flow step
-costs about one numpy dispatch per array operation, so it keeps those few.
+equator for reflection-symmetric data; a flow step is one LAPACK
+tridiagonal solve and about a dozen numpy calls, whose dispatch costs as
+much as their arithmetic at the grid sizes used.
 
 Geodesics on an axisymmetric metric ds^2 + rho(s)^2 dphi^2 are integrated in
 the state (s, phi, psi) with psi the heading measured from the meridian
@@ -28,6 +29,7 @@ lists): arithmetic on numpy scalars costs several times as much.
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv as _dgtsv
 
 # status codes shared by the kernels
 OK = 0
@@ -36,11 +38,6 @@ ERR_MAX_STEPS = 2
 ERR_DT_UNDERFLOW = 3
 ERR_NAN = 4
 SECTION = 5           # the march stopped at its first return to the section
-
-# flow_kernel folds its area renormalization back into the state once it
-# leaves this range
-LAM_RANGE = (0.5, 2.0)
-
 
 def hermite_eval(x, h, values, derivs):
     """Cubic Hermite interpolation on a uniform grid starting at 0.
@@ -305,27 +302,35 @@ def curvature_grid(u, h, cot_t):
     return np.exp(-2.0 * u) * (1.0 - lap)
 
 
-def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,
-                stability_factor, symmetrize, max_steps):
-    """Advance the normalized flow u_t = Kbar - K from t_start to t_target.
+def flow_kernel(u, h, sin_t, cot_t, w, dt, n_steps, symmetrize):
+    """Advance the normalized flow u_t = Kbar - K by n_steps steps of dt.
 
     Each step renormalizes the area back to 4*pi.  ``w`` are quadrature
-    weights for the theta grid.  Modifies u in place, also when the step
-    budget runs out; returns (status, t_reached, n_steps).
+    weights for the theta grid.  Modifies u in place and returns OK, or
+    returns ERR_NAN with u unchanged if the state went non-finite.
 
-    The step size is stability_factor * h^2 * min e^{2u}, capped by dt_cap
-    (when positive) and by the time left.  A step is ``curvature_grid``
-    arranged for few numpy calls:
-    - Kbar is left out of the update: it shifts u by the constant dt*Kbar,
-      which the area renormalization removes again.
-    - q = 1 - lap0 u = 1 + beta_i D[i] - alpha_i D[i+1], with D the first
-      differences of u between zero ghosts; the pole rows are folded into
-      alpha and beta.  K = q / e^{2u}.
-    - The kernel carries v = 2u - ln(lam), with lam the area
-      renormalization as a scalar, so e^{2u} = lam e^v and one exp per step
-      serves the curvature, the dt rule and the area.  v drifts by about
-      -2t, so lam is folded back into v whenever it leaves LAM_RANGE, and
-      at the end.
+    The scheme is linearly implicit BDF2:
+
+        (3u' - 4u + u_prev) / (2 dt) = 1 - a + a lap0 u',
+        a = e^{-2(2u - u_prev)},
+
+    with the coefficient a of the curvature extrapolated from the two
+    previous steps.  The constant 1 stands for Kbar, which Gauss-Bonnet
+    puts within the grid error of 1 at area 4 pi, so the renormalization, a
+    constant shift of u, only removes the discretization drift.  Multiplied
+    by 2 dt / a, a step is one tridiagonal solve (``dgtsv``):
+
+        (3g - k lap0) u' = g (4u - u_prev + k) - k,    g = 1/a,  k = 2 dt.
+
+    The matrix is a diagonally dominant M-matrix for every dt, so the step
+    has no stability bound.  The BDF1 step (u' - u)/dt = 1 - a + a lap0 u'
+    with a = e^{-2u} is the same formula with u_prev = u and k = 3 dt.
+    The first step is BDF1 extrapolated from one step of dt and two of
+    dt/2, with a local error of O(dt^3) like a BDF2 step: a plain BDF1
+    start adds an O(dt^2) error at every checkpoint, several times the rest
+    of the time error on the gong.  u is renormalized before that step, so
+    u_prev holds area 4 pi too.  g = (e^{2u})^2 / e^{2u_prev} reuses the
+    exp the area takes, so a step takes one exp.
     With symmetrize nonzero (legal only for reflection-symmetric data) u is
     averaged with its mirror image once and only nodes 0 .. ceil(n/2) - 1
     are stepped, with folded weights and a mirror row at the equator; the
@@ -333,75 +338,90 @@ def flow_kernel(u, h, sin_t, cot_t, w, t_start, t_target, dt_cap,
     """
     n = u.shape[0]
     h2 = h * h
-    sf_h2 = stability_factor * h2
     ws = w * sin_t
-    # stencil of lap0 in v = 2u, hence the halved coefficients
-    alpha = (1.0 / h2 + cot_t / (2.0 * h)) * 0.5
-    beta = (1.0 / h2 - cot_t / (2.0 * h)) * 0.5
-    alpha[0], beta[0] = 2.0 / h2, 0.0     # 2 u'' with the ghost D[0] = 0
-    alpha[-1], beta[-1] = 0.0, 2.0 / h2   # and with the ghost D[n] = 0
+    # lap0 u_i = a_i (u[i+1] - u[i]) + b_i (u[i-1] - u[i]); the pole rows
+    # are 2 u'' with a mirrored stencil
+    a = 1.0 / h2 + cot_t / (2.0 * h)
+    b = 1.0 / h2 - cot_t / (2.0 * h)
+    a[0], b[0] = 4.0 / h2, 0.0
+    a[-1], b[-1] = 0.0, 4.0 / h2
     m = n
-    v = 2.0 * u
+    x = u.copy()
     if symmetrize != 0:
         m = (n + 1) // 2
-        v = u[:m] + u[::-1][:m]  # twice u averaged with its mirror image
+        x = 0.5 * (u[:m] + u[::-1][:m])
         ws = ws[:m] + ws[::-1][:m]
         if n % 2 == 1:
-            # the equator is its own mirror: D[m] = -D[m-1], weight once
+            # the equator is its own mirror: u[m] = u[m-2], weight once
             ws[-1] *= 0.5
-            beta[m - 1] += alpha[m - 1]
-        # even n: D[m] = u[m] - u[m-1] = 0, the ghost as it stands
-        alpha, beta = alpha[:m], beta[:m]
-    ev = np.exp(v)
-    lam = 1.0
-    lam_lo, lam_hi = LAM_RANGE
-    d = np.zeros(m + 1)
-    d_in, d_lo, d_hi = d[1:-1], d[:-1], d[1:]
-    v_next, v_prev = v[1:], v[:-1]
-    q = np.empty(m)
-    tmp = np.empty(m)
-    t = t_start
-    steps = 0
-    status = OK
-    # the den check reports a blow-up, so numpy's warnings are muted
+            b[m - 1] += a[m - 1]
+        # even n: u[m] = u[m-1], so the equator row keeps no a term
+        a, b = a[:m], b[:m]
+        a[-1] = 0.0
+    ab = a + b
+
+    def stencil(k):
+        # k, the sub- and super-diagonal of -k lap0, and k times its
+        # negated main diagonal
+        return k, -k * b[1:], -k * a[:-1], k * ab
+
+    bdf2 = stencil(2.0 * dt)
+    # _NonFinite reports a blow-up, so numpy's warnings are muted
     with np.errstate(all="ignore"):
-        for _ in range(max_steps):
-            if t >= t_target:
-                break
-            np.subtract(v_next, v_prev, out=d_in)
-            np.multiply(beta, d_lo, out=q)
-            np.multiply(alpha, d_hi, out=tmp)
-            q -= tmp
-            q += 1.0
-            dt = sf_h2 * (lam * float(ev.min()))
-            if dt_cap > 0.0 and dt > dt_cap:
-                dt = dt_cap
-            if dt > t_target - t:
-                dt = t_target - t
-            np.divide(q, ev, out=q)  # lam K
-            q *= 2.0 * dt / lam
-            v -= q
-            np.exp(v, out=ev)
-            den = float(np.dot(ws, ev))  # area/(4 pi) = lam den/2
-            t += dt
-            steps += 1
-            # a NaN or inf anywhere in v reaches den (0 * NaN is NaN)
-            if not (math.isfinite(den) and den > 0.0):
-                status = ERR_NAN
-                break
-            lam = 2.0 / den
-            if not lam_lo < lam < lam_hi:
-                lam = _fold(v, ev, lam)
-    u[:m] = 0.5 * (v + math.log(lam))
+        try:
+            x_prev, e_prev = x, _renormalize(x, ws)
+            # BDF1 extrapolated from one step of dt and two of dt/2
+            half = stencil(1.5 * dt)
+            x_full, _ = _bdf_step(x, x, e_prev, e_prev, ws, stencil(3.0 * dt))
+            x_half, e_half = _bdf_step(x, x, e_prev, e_prev, ws, half)
+            x_half, _ = _bdf_step(x_half, x_half, e_half, e_half, ws, half)
+            x = 2.0 * x_half - x_full
+            e = _renormalize(x, ws)
+            for _ in range(n_steps - 1):
+                (x, e), x_prev, e_prev = (
+                    _bdf_step(x, x_prev, e, e_prev, ws, bdf2), x, e)
+        except _NonFinite:
+            return ERR_NAN
+    u[:m] = x
     if m < n:
         u[n - m:] = u[m - 1::-1]
-    if status == OK and t < t_target:
-        status = ERR_MAX_STEPS
-    return status, t, steps
+    return OK
 
 
-def _fold(v, ev, lam):
-    """Fold the renormalization lam into v and e^v in place; the new lam."""
-    v += math.log(lam)
-    ev *= lam
-    return 1.0
+class _NonFinite(Exception):
+    """A flow step's solve failed or its state went non-finite."""
+
+
+def _bdf_step(x, x_prev, e, e_prev, ws, stencil):
+    """One linearly implicit step (see ``flow_kernel``), renormalized.
+
+    e and e_prev are e^{2x} and e^{2 x_prev}.  Returns x' and e^{2x'}.
+    """
+    k, sub, sup, kab = stencil
+    g = e * e
+    g /= e_prev
+    rhs = 4.0 * x
+    rhs -= x_prev
+    rhs += k
+    rhs *= g
+    rhs -= k
+    diag = 3.0 * g
+    diag += kab
+    _, _, _, x_new, info = _dgtsv(sub, diag, sup, rhs,
+                                  overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise _NonFinite
+    return x_new, _renormalize(x_new, ws)
+
+
+def _renormalize(x, ws):
+    """Shift x in place to area 4 pi and return e^{2x}."""
+    e = 2.0 * x
+    np.exp(e, out=e)
+    den = float(np.dot(ws, e))  # area/(4 pi) = den/2
+    # a NaN or inf anywhere in x reaches den (0 * NaN is NaN)
+    if not (math.isfinite(den) and den > 0.0):
+        raise _NonFinite
+    x -= 0.5 * math.log(0.5 * den)
+    e *= 2.0 / den
+    return e

@@ -291,8 +291,11 @@ def cmd_lprime(config):
     numeric = None
     residual = None
     flagged = None
-    if config.surface != "michel":
+    try:
         c0 = build_conformal(config)
+    except GaugeError:
+        pass  # no reflection symmetry, so no conformal gauge to flow in
+    else:
         res = ricci.lprime_numeric(ricci.make_state(c0), DEFAULT_LPRIME_DTS)
         numeric, residual, flagged = res.value, res.residual, res.flagged
 
@@ -334,7 +337,8 @@ def build_parser():
         sp.add_argument("--tol", type=float)
         sp.add_argument("--horizon", type=float)
         sp.add_argument("--T", type=float, dest="T")
-        sp.add_argument("--dt", type=float)
+        sp.add_argument("--dt", type=float,
+                        help="cap on the flow's time step (default h/30)")
         sp.add_argument("--checkpoint-every", type=float,
                         dest="checkpoint_every")
         sp.add_argument("--sweep-checkpoints", action="store_true",

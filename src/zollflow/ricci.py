@@ -5,9 +5,14 @@ dg/dt = -2 (K - Kbar) g becomes the scalar parabolic equation
 
     du/dt = Kbar - K,      K = e^{-2u} (1 - lap0 u),
 
-with lap0 the round Laplacian acting on axisymmetric functions.  Steps are
-explicit Euler under the diffusive bound dt <= factor * h^2 * min(e^{2u});
-every step renormalizes the area back to 4 pi (the continuum flow preserves
+with lap0 the round Laplacian acting on axisymmetric functions.  ``evolve``
+steps it with a linearly implicit BDF2 scheme on the finite-difference
+grid, one tridiagonal solve per step (``_kernels.flow_kernel``).  It has no
+stability bound, so the step is DT_PER_H * h, and the step count grows like
+1/h instead of 1/h^2; the time error still falls like h^2.  ``flow_step``,
+one explicit Euler step under the diffusive bound dt <= factor * h^2 *
+min(e^{2u}), is the independent reference the kernel is tested against.
+Every step renormalizes the area back to 4 pi (the continuum flow preserves
 it, the discretization drifts).  Reflection-symmetric data (symmetry
 measured against SYMMETRY_TOL) is made exactly symmetric once and stepped
 on the half grid up to the equator, so it stays symmetric.
@@ -17,6 +22,7 @@ l'(0) = -2 pi (K_eq - Kbar) are the quantities the rest of the package cares
 about.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +32,12 @@ from .errors import FlowInstabilityError
 from .profile import (FOUR_PI, SYMMETRY_TOL, ConformalProfile, conformal_grid,
                       curvature_arclength)
 
-STABILITY_FACTOR = 0.4
+STABILITY_FACTOR = 0.4  # explicit step: factor * h^2 * min e^{2u}
+# evolve's BDF2 step: at most DT_PER_H * h at the default stability factor,
+# and at least MIN_STEPS steps per checkpoint interval, so the time error
+# falls like h^2 while the step count grows like 1/h
+DT_PER_H = 1.0 / 30.0
+MIN_STEPS = 16
 MAX_STEPS = 50_000_000  # flow steps per checkpoint interval
 TWO_PI = 2.0 * np.pi
 
@@ -67,6 +78,11 @@ def stability_dt(profile):
             * float(np.exp(2.0 * profile.u).min()))
 
 
+def bdf2_dt(profile, stability_factor=STABILITY_FACTOR):
+    """Longest step ``evolve`` takes on this profile's grid."""
+    return DT_PER_H * profile.h * stability_factor / STABILITY_FACTOR
+
+
 def flow_step(state, dt):
     """One explicit Euler step of du/dt = Kbar - K.
 
@@ -100,11 +116,12 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
            stability_factor=STABILITY_FACTOR):
     """Run the flow to horizon T, returning checkpoints plus the final state.
 
-    Stepping between checkpoints happens in one ``flow_kernel`` call with the
-    automatic stable dt (optionally capped by dt_cap).  Deterministic for a
-    fixed grid and dt policy.  If the state goes non-finite, the
-    FlowInstabilityError carries the last checkpoint; if one checkpoint
-    interval needs more than MAX_STEPS steps, it carries the state reached.
+    Stepping between checkpoints happens in one ``flow_kernel`` call of
+    equal BDF2 steps, at most ``bdf2_dt`` long (so stability_factor scales
+    the step) and at most dt_cap when that is positive, and at least
+    MIN_STEPS of them.  Deterministic for a fixed grid and dt policy.  If
+    the state goes non-finite, or one checkpoint interval needs more than
+    MAX_STEPS steps, the FlowInstabilityError carries the last checkpoint.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -113,21 +130,29 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
     c = initial.profile.copy()
     sin_t, cot_t, w = conformal_grid(c.n_nodes)
     symmetrize = 1 if initial.profile.symmetry_defect() < SYMMETRY_TOL else 0
+    dt_max = bdf2_dt(c, stability_factor)
+    if dt_cap > 0.0:
+        dt_max = min(dt_max, dt_cap)
 
     states = [make_state(c.copy(), initial.t)]
     t = initial.t
     t_end = initial.t + T
     while t < t_end - 1e-15 * max(1.0, t_end):
         target = min(t + checkpoint_every, t_end)
-        status, t, _steps = _kernels.flow_kernel(
-            c.u, c.h, sin_t, cot_t, w, t, target, dt_cap,
-            stability_factor, symmetrize, MAX_STEPS)
+        # a ratio within rounding of an integer takes that many steps
+        n_steps = max(MIN_STEPS, math.ceil((target - t) / dt_max - 1e-9))
+        if n_steps > MAX_STEPS:
+            raise FlowInstabilityError(
+                f"flow step budget exhausted: {n_steps} steps to "
+                f"t = {target:g}", state=states[-1])
+        status = _kernels.flow_kernel(c.u, c.h, sin_t, cot_t, w,
+                                      (target - t) / n_steps, n_steps,
+                                      symmetrize)
         if status == _kernels.ERR_NAN:
             raise FlowInstabilityError(
-                f"flow state went non-finite by t = {t:g}", state=states[-1])
-        if status == _kernels.ERR_MAX_STEPS:
-            raise FlowInstabilityError("flow step budget exhausted",
-                                       state=make_state(c, t))
+                f"flow state went non-finite by t = {target:g}",
+                state=states[-1])
+        t = target
         states.append(make_state(c.copy(), t))
     return states
 
@@ -175,9 +200,10 @@ def lprime_numeric(initial, dt_list):
     if not dts:
         raise ValueError("dt_list must be non-empty")
     l0 = initial.equator_length()
+    n_steps = max(MIN_STEPS, math.ceil(dts[-1] / bdf2_dt(initial.profile)))
     slopes = []
     for dt in dts:
-        final = evolve(initial, dt)[-1]
+        final = evolve(initial, dt, dt_cap=dt / n_steps)[-1]
         slopes.append((final.equator_length() - l0) / dt)
 
     if len(dts) == 1:

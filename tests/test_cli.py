@@ -209,3 +209,25 @@ class TestOutputs:
         d = json.loads(out.read_text())
         assert abs(d["analytic"]) < 1e-6
         assert not d["zoll_not_preserved"]
+
+    def test_lprime_michel_numeric_by_symmetry(self, tmp_path):
+        # the measured symmetry decides the numeric branch: h = 0 flows as
+        # the round sphere; a nonzero h has no conformal gauge, so no
+        # numeric value, and the run still succeeds
+        reports = {}
+        for name, coeffs in (("h0", []), ("h", ["--coeffs", "0.3,-0.3"])):
+            out = tmp_path / f"{name}.json"
+            assert run(["lprime", "--surface", "michel", "--nodes", "512",
+                        "--samples", "4", "--out", str(out)] + coeffs) == 0
+            reports[name] = json.loads(out.read_text())
+        out = tmp_path / "round.json"
+        assert run(["lprime", "--surface", "round", "--nodes", "512",
+                    "--samples", "4", "--out", str(out)]) == 0
+        round_numeric = json.loads(out.read_text())["numeric"]
+        assert reports["h0"]["flagged"] is False
+        assert reports["h0"]["numeric"] == pytest.approx(round_numeric,
+                                                         abs=1e-8)
+        assert abs(reports["h0"]["numeric"]) < 1e-6
+        assert reports["h"]["numeric"] is None
+        assert reports["h"]["flagged"] is None
+        assert reports["h"]["certified_zoll"] is True

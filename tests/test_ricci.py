@@ -93,29 +93,31 @@ class TestEvolve:
         b = zf.evolve(zf.make_state(gong_conf.copy()), 0.002)[-1]
         assert np.array_equal(a.profile.u, b.profile.u)
 
-    def test_matches_flow_step(self, areanorm_p):
-        # the kernel loop against the independent one-step path
-        st = zf.make_state(zf.to_conformal(areanorm_p, n_nodes=512))
+    @staticmethod
+    def _explicit_oracle(st, n_steps=100):
+        """n_steps flow_step calls at half the stability step, and the time
+        error of the explicit scheme at its default step (the whole
+        stability step), from the oracle's distance to a run at half its
+        step (first order: halving the step halves the error)."""
         dt = 0.5 * stability_dt(st.profile)
-        stepped = st
-        for _ in range(20):
-            stepped = zf.flow_step(stepped, dt)
-        final = zf.evolve(st, 20 * dt, dt_cap=dt)[-1]
-        np.testing.assert_allclose(final.profile.u, stepped.profile.u,
-                                   rtol=0, atol=1e-12)
-        assert final.t == pytest.approx(stepped.t, abs=1e-15)
+        oracle = fine = st
+        for _ in range(n_steps):
+            oracle = zf.flow_step(oracle, dt)
+        for _ in range(2 * n_steps):
+            fine = zf.flow_step(fine, 0.5 * dt)
+        oracle_error = 2.0 * np.max(np.abs(oracle.profile.u - fine.profile.u))
+        return oracle, 2.0 * oracle_error
 
     @pytest.mark.parametrize("n", [513, 1024])
     def test_automatic_dt_matches_flow_step(self, areanorm_p, n):
-        # the kernel with its own dt rule against the one-step path
+        # the BDF2 kernel with its own dt rule against the explicit one-step
+        # path, on the half grid
         st = zf.make_state(zf.to_conformal(areanorm_p, n_nodes=n))
-        stepped = st
-        for _ in range(50):
-            stepped = zf.flow_step(stepped, stability_dt(stepped.profile))
-        final = zf.evolve(st, stepped.t)[-1]
-        np.testing.assert_allclose(final.profile.u, stepped.profile.u,
-                                   rtol=0, atol=1e-12)
-        assert final.t == stepped.t
+        oracle, explicit_error = self._explicit_oracle(st)
+        final = zf.evolve(st, oracle.t)[-1]
+        assert np.max(np.abs(final.profile.u - oracle.profile.u)) \
+            <= explicit_error
+        assert final.t == oracle.t
         assert final.profile.symmetry_defect() == 0.0
 
     @pytest.mark.parametrize("n", [513, 1024])
@@ -128,64 +130,63 @@ class TestEvolve:
         c.u += bump * np.cos(np.linspace(0.0, np.pi, n))
         assert c.symmetry_defect() == pytest.approx(2.0 * bump, rel=1e-3)
         st = zf.make_state(c)
-        stepped = st
-        for _ in range(50):
-            stepped = zf.flow_step(stepped, stability_dt(stepped.profile))
-        final = zf.evolve(st, stepped.t)[-1]
-        np.testing.assert_allclose(final.profile.u, stepped.profile.u,
-                                   rtol=0, atol=1e-12)
-        assert final.t == stepped.t
+        oracle, explicit_error = self._explicit_oracle(st)
+        final = zf.evolve(st, oracle.t)[-1]
+        assert np.max(np.abs(final.profile.u - oracle.profile.u)) \
+            <= explicit_error
+        assert final.t == oracle.t
         if 2.0 * bump < SYMMETRY_TOL:
             assert final.profile.symmetry_defect() == 0.0
         else:
             assert final.profile.symmetry_defect() > 0.09
 
-    def test_renormalization_folds_back(self, monkeypatch):
-        # v = 2u - ln(lam) drifts by about -2t; over one checkpoint interval
-        # to t = 1.5 lam leaves LAM_RANGE, and is folded back, several times
-        folds = []
-        fold = _kernels._fold
+    @pytest.mark.parametrize("bump", [0.0, 0.05])
+    @pytest.mark.parametrize("checkpoint_every", [None, 0.005])
+    def test_second_order_in_dt(self, bump, checkpoint_every):
+        # halving the step through dt_cap cuts the error against a fine run
+        # about fourfold, on the half grid and on the full grid, and also
+        # when every checkpoint restarts the two-step scheme
+        n = 513
+        c = cli.build_conformal(
+            cli.RunConfig(surface="gong_normalized", n_nodes=n))
+        c.u += bump * np.cos(np.linspace(0.0, np.pi, n))
+        st = zf.make_state(c)
+        dt = ricci.bdf2_dt(c)
 
-        def spy(v, ev, lam):
-            folds.append(lam)
-            return fold(v, ev, lam)
+        def run(dt_cap):
+            return zf.evolve(st, 0.02, checkpoint_every=checkpoint_every,
+                             dt_cap=dt_cap)[-1].profile.u
 
-        monkeypatch.setattr(_kernels, "_fold", spy)
-        c0 = cli.build_conformal(
-            cli.RunConfig(surface="gong_normalized", n_nodes=64))
-        st = zf.make_state(c0)
-        stepped = st
-        while stepped.t < 1.5:
-            stepped = zf.flow_step(stepped, stability_dt(stepped.profile))
-        final = zf.evolve(st, stepped.t)[-1]
-        assert len(folds) >= 2
-        assert np.all(np.isfinite(final.profile.u))
-        assert final.area == pytest.approx(FOUR_PI, abs=1e-8)
-        np.testing.assert_allclose(final.profile.u, stepped.profile.u,
-                                   rtol=0, atol=1e-12)
+        fine = run(dt / 32)
+        err = [np.max(np.abs(run(cap) - fine)) for cap in (dt, dt / 2)]
+        assert err[0] / err[1] >= 3.5
 
-        # the round sphere stays at its discrete fixed point
-        folds.clear()
-        c0 = zf.ConformalProfile(u=np.zeros(257))
-        final = zf.evolve(zf.make_state(c0), 1.5)[-1]
-        assert len(folds) >= 2
+    def test_round_fixed_point_long_run(self):
+        # the round sphere stays at its discrete fixed point over a long run,
+        # and the gong stays finite at area 4 pi
+        final = zf.evolve(zf.make_state(zf.ConformalProfile(u=np.zeros(257))),
+                          1.5)[-1]
         assert final.area == pytest.approx(FOUR_PI, abs=1e-8)
         assert np.max(np.abs(final.profile.u)) < 1e-9
+        c0 = cli.build_conformal(
+            cli.RunConfig(surface="gong_normalized", n_nodes=64))
+        states = zf.evolve(zf.make_state(c0), 1.5, checkpoint_every=0.5)
+        for st in states[1:]:
+            assert np.all(np.isfinite(st.profile.u))
+            assert st.area == pytest.approx(FOUR_PI, abs=1e-8)
+        assert states[-1].max_abs_k_minus_1 < states[0].max_abs_k_minus_1
 
     def test_step_budget_attaches_state_reached(self, monkeypatch, gong_conf):
-        # the half-grid state is mirrored back into u when the budget runs out
+        # an interval that needs more than MAX_STEPS steps is refused before
+        # it is stepped, with the state it starts from
         monkeypatch.setattr(ricci, "MAX_STEPS", 5)
         st = zf.make_state(gong_conf.copy())
         with pytest.raises(FlowInstabilityError) as exc:
             zf.evolve(st, 1e-3)
-        stepped = st
-        for _ in range(5):
-            stepped = zf.flow_step(stepped, stability_dt(stepped.profile))
         reached = exc.value.state
-        assert reached.t == pytest.approx(stepped.t, rel=1e-12)
-        np.testing.assert_allclose(reached.profile.u, stepped.profile.u,
-                                   rtol=0, atol=1e-12)
-        assert reached.profile.symmetry_defect() == 0.0
+        assert reached.t == 0.0
+        assert np.all(np.isfinite(reached.profile.u))
+        np.testing.assert_array_equal(reached.profile.u, st.profile.u)
 
     def test_nan_state_raises(self, gong_conf):
         c = gong_conf.copy()
@@ -193,25 +194,41 @@ class TestEvolve:
         with pytest.raises(FlowInstabilityError):
             zf.evolve(zf.make_state(c), 1e-3)
 
-    def test_blowup_attaches_last_checkpoint(self):
-        # three times the stable step blows up at t ~ 2.4e-3
+    @staticmethod
+    def _poison_second_interval(monkeypatch, value):
+        # the implicit step does not blow up by itself, so the state is
+        # poisoned where the kernel starts its second checkpoint interval
+        kernel = _kernels.flow_kernel
+        calls = []
+
+        def poisoned(u, *args):
+            calls.append(u)
+            if len(calls) == 2:
+                u[len(u) // 3] = value
+            return kernel(u, *args)
+
+        monkeypatch.setattr(_kernels, "flow_kernel", poisoned)
+
+    def test_blowup_attaches_last_checkpoint(self, monkeypatch):
+        self._poison_second_interval(monkeypatch, np.nan)
         c0 = cli.build_conformal(
             cli.RunConfig(surface="gong_normalized", n_nodes=256))
         with pytest.raises(FlowInstabilityError) as exc:
-            zf.evolve(zf.make_state(c0), 0.05, checkpoint_every=1e-3,
-                      stability_factor=3.0)
+            zf.evolve(zf.make_state(c0), 0.05, checkpoint_every=1e-3)
         st = exc.value.state
         assert np.all(np.isfinite(st.profile.u))
         assert st.t in (0.0, 1e-3, 2e-3)
 
-    def test_blowup_is_silent(self):
-        # the typed error reports the blow-up; numpy adds no warnings
+    def test_blowup_is_silent(self, monkeypatch):
+        # the typed error reports the blow-up; numpy adds no warnings, also
+        # when e^{2u} overflows
+        self._poison_second_interval(monkeypatch, 1e3)
         c0 = cli.build_conformal(
             cli.RunConfig(surface="gong_normalized", n_nodes=256))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(FlowInstabilityError):
-                zf.evolve(zf.make_state(c0), 0.05, stability_factor=3.0)
+                zf.evolve(zf.make_state(c0), 0.05, checkpoint_every=1e-3)
         assert [str(w.message) for w in caught] == []
 
     def test_rejects_bad_horizon(self, gong_conf):
