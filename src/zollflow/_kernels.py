@@ -63,16 +63,65 @@ def hermite_eval(x, h, values, derivs):
             + h * (h10 * derivs[i] + h11 * derivs[i + 1]))
 
 
+def hermite_cell(t, h, y0, y1, d0, d1):
+    """The cubic of a cell of width h with end values y0, y1 and end slopes
+    d0, d1, at the fraction t of the cell: the one array form of the
+    Hermite rule, for uniform grids and for the knots of ``Spline``."""
+    t2 = t * t
+    t3 = t2 * t
+    return ((2 * t3 - 3 * t2 + 1) * y0 + (-2 * t3 + 3 * t2) * y1
+            + h * ((t3 - 2 * t2 + t) * d0 + (t3 - t2) * d1))
+
+
+def hermite_cell_integral(t, h, y0, y1, d0, d1):
+    """Integral of the ``hermite_cell`` cubic over the first fraction t of
+    its cell; the whole cell (t = 1) gives h (y0 + y1)/2 + h^2 (d0 - d1)/12."""
+    t2 = t * t
+    t3 = t2 * t
+    t4 = t2 * t2
+    return h * ((0.5 * t4 - t3 + t) * y0 + (t3 - 0.5 * t4) * y1
+                + h * ((0.25 * t4 - t3 * (2.0 / 3.0) + 0.5 * t2) * d0
+                       + (0.25 * t4 - t3 / 3.0) * d1))
+
+
 def hermite_vec(x, h, values, derivs):
     """``hermite_eval`` at an array of points (profile queries)."""
     x = np.asarray(x, dtype=float)
     n = len(values)
     i = np.clip((x / h).astype(int), 0, n - 2)
-    t = (x - i * h) / h
-    t2 = t * t
-    t3 = t2 * t
-    return ((2 * t3 - 3 * t2 + 1) * values[i] + (-2 * t3 + 3 * t2) * values[i + 1]
-            + h * ((t3 - 2 * t2 + t) * derivs[i] + (t3 - t2) * derivs[i + 1]))
+    return hermite_cell((x - i * h) / h, h, values[i], values[i + 1],
+                        derivs[i], derivs[i + 1])
+
+
+def notaknot_slopes(x, y):
+    """Knot slopes of the not-a-knot cubic spline through (x, y), n >= 4.
+
+    The system is scipy's ``CubicSpline`` one, the tridiagonal
+    continuity of the second derivative at the inner knots closed by
+    continuity of the third at the second and the second-to-last knot, and
+    it is built and solved (one ``dgtsv`` call) in the same floating-point
+    operations, so the slopes equal scipy's bitwise.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0 = x[2] - x[0]
+    d1 = x[-1] - x[-3]
+    diag = np.empty(len(x))
+    diag[0] = dx[1]
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    diag[-1] = dx[-2]
+    sup = np.concatenate(([d0], dx[:-1]))
+    sub = np.concatenate((dx[1:], [d1]))
+    b = np.empty(len(x))
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[-1] = (dx[-1] ** 2 * slope[-2]
+             + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    _, _, _, s, info = _dgtsv(sub, diag, sup, b, overwrite_dl=1,
+                              overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"spline system is singular (dgtsv info {info})")
+    return s
 
 
 def hermite_vec_slope(x, h, values, derivs):
@@ -334,7 +383,8 @@ def flow_kernel(u, h, sin_t, cot_t, w, dt, n_steps, symmetrize):
     With symmetrize nonzero (legal only for reflection-symmetric data) u is
     averaged with its mirror image once and only nodes 0 .. ceil(n/2) - 1
     are stepped, with folded weights and a mirror row at the equator; the
-    mirror image is written back at the end.
+    mirror image is written back at the end.  With n_steps = 0 the kernel
+    only renormalizes (and, with symmetrize, symmetrizes) u.
     """
     n = u.shape[0]
     h2 = h * h
@@ -370,13 +420,16 @@ def flow_kernel(u, h, sin_t, cot_t, w, dt, n_steps, symmetrize):
     with np.errstate(all="ignore"):
         try:
             x_prev, e_prev = x, _renormalize(x, ws)
-            # BDF1 extrapolated from one step of dt and two of dt/2
-            half = stencil(1.5 * dt)
-            x_full, _ = _bdf_step(x, x, e_prev, e_prev, ws, stencil(3.0 * dt))
-            x_half, e_half = _bdf_step(x, x, e_prev, e_prev, ws, half)
-            x_half, _ = _bdf_step(x_half, x_half, e_half, e_half, ws, half)
-            x = 2.0 * x_half - x_full
-            e = _renormalize(x, ws)
+            if n_steps > 0:
+                # BDF1 extrapolated from one step of dt and two of dt/2
+                half = stencil(1.5 * dt)
+                x_full, _ = _bdf_step(x, x, e_prev, e_prev, ws,
+                                      stencil(3.0 * dt))
+                x_half, e_half = _bdf_step(x, x, e_prev, e_prev, ws, half)
+                x_half, _ = _bdf_step(x_half, x_half, e_half, e_half, ws,
+                                      half)
+                x = 2.0 * x_half - x_full
+                e = _renormalize(x, ws)
             for _ in range(n_steps - 1):
                 (x, e), x_prev, e_prev = (
                     _bdf_step(x, x_prev, e, e_prev, ws, bdf2), x, e)

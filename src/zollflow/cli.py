@@ -65,6 +65,11 @@ class RunConfig:
     sweep_checkpoints: bool = False
     out: str = ""
 
+    @functools.cached_property
+    def odd_function(self):
+        """The Michel surface's odd function, built once per config."""
+        return catalog.OddFunction(tuple(self.coeffs))
+
     def validate(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
@@ -77,7 +82,7 @@ class RunConfig:
             raise ConfigError(f"surface: {self.surface!r} not one of {SURFACES}")
         if self.surface == "michel":
             try:
-                catalog.OddFunction(tuple(self.coeffs))
+                self.odd_function
             except ValueError as e:
                 raise ConfigError(f"coeffs: {e}") from e
         elif self.coeffs:
@@ -95,7 +100,8 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
+        # the fields are scalars and one tuple, so no deep copy is needed
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         d["coeffs"] = list(self.coeffs)
         return d
 
@@ -157,8 +163,8 @@ def build_profile(config):
     """Arc-length profile of the configured surface."""
     meridian = MERIDIANS[config.surface]
     if meridian is None:
-        h = catalog.OddFunction(tuple(config.coeffs))
-        return catalog.michel_surface(h, n_nodes=config.n_nodes)
+        return catalog.michel_surface(config.odd_function,
+                                      n_nodes=config.n_nodes)
     return to_arclength(meridian(), n_nodes=config.n_nodes)
 
 
@@ -174,8 +180,8 @@ def build_conformal(config):
     n_fine = 4 * config.n_nodes + 1
     meridian = MERIDIANS[config.surface]
     if meridian is None:
-        h = catalog.OddFunction(tuple(config.coeffs))
-        p = catalog.michel_surface(h, n_nodes=n_fine)  # area 4 pi already
+        # area 4 pi already
+        p = catalog.michel_surface(config.odd_function, n_nodes=n_fine)
     else:
         p = to_arclength(normalize_to_volume(meridian()), n_nodes=n_fine)
     return to_conformal(p, n_nodes=config.n_nodes)
@@ -325,25 +331,22 @@ def build_parser():
         prog="zollflow",
         description="Surfaces of revolution: geodesic periods, curvature, "
                     "normalized Ricci flow.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("describe", "verify-zoll", "flow", "weinstein", "lprime"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON config file; flags override")
-        sp.add_argument("--surface", choices=SURFACES)
-        sp.add_argument("--coeffs", help="comma-separated odd-polynomial "
-                                         "coefficients (michel)")
-        sp.add_argument("--nodes", type=int, dest="n_nodes")
-        sp.add_argument("--samples", type=int, dest="n_samples")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--horizon", type=float)
-        sp.add_argument("--T", type=float, dest="T")
-        sp.add_argument("--dt", type=float,
-                        help="cap on the flow's time step (default h/30)")
-        sp.add_argument("--checkpoint-every", type=float,
-                        dest="checkpoint_every")
-        sp.add_argument("--sweep-checkpoints", action="store_true",
-                        default=None)
-        sp.add_argument("--out")
+    # every command takes the same options, so one parser reads them all
+    ap.add_argument("command", choices=tuple(COMMANDS))
+    ap.add_argument("--config", help="JSON config file; flags override")
+    ap.add_argument("--surface", choices=SURFACES)
+    ap.add_argument("--coeffs", help="comma-separated odd-polynomial "
+                                     "coefficients (michel)")
+    ap.add_argument("--nodes", type=int, dest="n_nodes")
+    ap.add_argument("--samples", type=int, dest="n_samples")
+    ap.add_argument("--tol", type=float)
+    ap.add_argument("--horizon", type=float)
+    ap.add_argument("--T", type=float, dest="T")
+    ap.add_argument("--dt", type=float,
+                    help="cap on the flow's time step (default h/30)")
+    ap.add_argument("--checkpoint-every", type=float, dest="checkpoint_every")
+    ap.add_argument("--sweep-checkpoints", action="store_true", default=None)
+    ap.add_argument("--out")
     return ap
 
 

@@ -14,12 +14,13 @@ but is numerically useless near the poles where r' blows up, so conversions
 route all near-pole work through the arc-length gauge, where K = -rho''/rho.
 """
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .errors import DomainError, GaugeError, PoleProximityError, QuadratureError
@@ -30,9 +31,14 @@ FOUR_PI = 4.0 * np.pi
 POLE_GUARD_FRACTION = 1e-6
 # central-difference step for user-supplied curves without derivatives
 FD_STEP_FRACTION = 1e-6
-QUAD_EPSABS = 1e-10  # absolute tolerance of the meridian quadratures
+# Gauss-Legendre orders of the meridian quadratures: the finer rule gives the
+# value, its difference from the coarser one the error estimate
+QUAD_NODES = (64, 128)
+QUAD_EPSABS = 1e-10  # absolute scale of the error estimate accepted
 # bound on max|rho - rho[::-1]| / max rho, and on max|u - u[::-1]|
 SYMMETRY_TOL = 1e-10
+# cap on the regula falsi steps of ProfileMetric.equator before it bisects
+EQUATOR_ILLINOIS_STEPS = 30
 
 
 def simpson_weights(n, h):
@@ -106,18 +112,34 @@ def curvature_meridian(m, z):
     return -m.d2r(z) / (r * (dr * dr + 1.0) ** 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _chi_rule(n):
+    """n-point Gauss-Legendre nodes and weights on [-pi/2, pi/2], built once
+    per process on first use."""
+    x, w = leggauss(n)
+    return 0.5 * np.pi * x, 0.5 * np.pi * w
+
+
 def _chi_integral(m, integrand):
     """Integrate f(z) dz over the domain with the z = mid + a sin(chi)
-    substitution that removes the square-root endpoint singularity."""
+    substitution that removes the square-root endpoint singularity.
+
+    The integral in chi runs through the two Gauss-Legendre rules of
+    QUAD_NODES, on the vectorized integrand.  The finer rule gives the
+    value; QuadratureError if the rules differ by more than
+    max(100 QUAD_EPSABS, 1e-8 |value|), as they do on a meridian that is
+    not smooth in chi.
+    """
     a = 0.5 * m.width
     mid = m.midpoint
 
-    def g(chi):
-        return integrand(mid + a * np.sin(chi)) * a * np.cos(chi)
+    def rule(n):
+        chi, w = _chi_rule(n)
+        return float(w @ (integrand(mid + a * np.sin(chi)) * a * np.cos(chi)))
 
-    val, err = quad(g, -np.pi / 2, np.pi / 2, epsabs=QUAD_EPSABS, epsrel=1e-12,
-                    limit=400)
-    if err > max(100.0 * QUAD_EPSABS, 1e-8 * abs(val)):
+    coarse, val = map(rule, QUAD_NODES)
+    err = abs(val - coarse)
+    if not err <= max(100.0 * QUAD_EPSABS, 1e-8 * abs(val)):
         raise QuadratureError(f"quadrature error estimate {err} too large")
     return val
 
@@ -172,6 +194,8 @@ class ProfileMetric:
     rho_grid: np.ndarray
     drho_grid: np.ndarray
     d2rho_grid: np.ndarray
+    _equator: tuple = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.rho_grid[0] != 0.0 or self.rho_grid[-1] != 0.0:
@@ -213,12 +237,20 @@ class ProfileMetric:
         return 2.0 * np.pi * float(w @ self.rho_grid)
 
     def equator(self):
-        """(s*, rho(s*)) at the maximal parallel.
+        """(s*, rho(s*)) at the maximal parallel, computed once per profile.
 
         s* is the root of the Hermite drho cubic in the cell next to the
         largest rho node where drho changes sign, bisected to adjacent
         doubles; the node itself if neither neighbouring cell has one.
+        Illinois steps (regula falsi that halves the value kept at a
+        stalled end) narrow the cell to a few doubles before the bisection,
+        so it takes 4-7 cubic evaluations instead of about 45.
         """
+        if self._equator is None:
+            self._equator = self._find_equator()
+        return self._equator
+
+    def _find_equator(self):
         h = self.h
         d = self.drho_grid
         j = min(max(int(np.argmax(self.rho_grid)), 1), self.n_nodes - 2)
@@ -226,8 +258,31 @@ class ProfileMetric:
             lo, hi = j * h, (j + 1) * h
         elif d[j - 1] >= 0.0 > d[j]:
             lo, hi = (j - 1) * h, j * h
+            j -= 1
         else:
             lo = hi = j * h
+        # drho > 0 at lo and <= 0 at hi; the cubic's end values are nodes
+        f_lo, f_hi = float(d[j]), float(d[j + 1])
+        stalled = 0
+        for _ in range(EQUATOR_ILLINOIS_STEPS):
+            # a step lands at least a few doubles inside the bracket, so a
+            # root next to one end closes the bracket from the other side
+            tol = 4.0 * math.ulp(hi)
+            if hi - lo <= 2.0 * tol:
+                break
+            s_new = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo),
+                            lo + tol), hi - tol)
+            f = float(_kernels.hermite_eval(s_new, h, d, self.d2rho_grid))
+            if f > 0.0:
+                lo, f_lo = s_new, f
+                if stalled == 1:
+                    f_hi *= 0.5
+                stalled = 1
+            else:
+                hi, f_hi = s_new, f
+                if stalled == -1:
+                    f_lo *= 0.5
+                stalled = -1
         s_star = 0.5 * (lo + hi)
         while lo < s_star < hi:
             if _kernels.hermite_eval(s_star, h, d, self.d2rho_grid) > 0.0:
@@ -235,7 +290,9 @@ class ProfileMetric:
             else:
                 hi = s_star
             s_star = 0.5 * (lo + hi)
-        return s_star, float(self.rho(s_star))
+        # the scalar form of self.rho, bitwise equal to it
+        return s_star, float(_kernels.hermite_eval(s_star, h, self.rho_grid,
+                                                   self.drho_grid))
 
 
 def curvature_arclength(p, s):
@@ -248,14 +305,64 @@ def curvature_arclength(p, s):
     return float(val[0]) if scalar else val
 
 
+class Spline:
+    """Not-a-knot cubic spline through (x, y) on increasing knots, n >= 4.
+
+    The knot slopes are scipy ``CubicSpline``'s, bitwise
+    (``_kernels.notaknot_slopes``).  Between knots the spline is the
+    ``_kernels.hermite_cell`` cubic, and ``integral`` integrates that cubic
+    in closed form.  Points outside the knots use the nearest end cell.
+    """
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.h = np.diff(self.x)
+        self.d = _kernels.notaknot_slopes(self.x, self.y)
+        self._knot_integrals = None
+
+    def cells(self, xq):
+        """Index of the cell holding each query point."""
+        return np.clip(np.searchsorted(self.x, xq, side="right") - 1,
+                       0, len(self.x) - 2)
+
+    def _cell_args(self, xq, cells):
+        """(t, h, y0, y1, d0, d1) of each query point's cell, and the cell
+        indices."""
+        xq = np.asarray(xq, dtype=float)
+        i = self.cells(xq) if cells is None else cells
+        h = self.h[i]
+        return ((xq - self.x[i]) / h, h, self.y[i], self.y[i + 1],
+                self.d[i], self.d[i + 1]), i
+
+    def __call__(self, xq):
+        args, _ = self._cell_args(xq, None)
+        return _kernels.hermite_cell(*args)
+
+    def knot_integrals(self):
+        """Integral of the spline from x[0] to each knot: the cumulative sum
+        of the cells' h (y0 + y1)/2 + h^2 (d0 - d1)/12."""
+        if self._knot_integrals is None:
+            h, y, d = self.h, self.y, self.d
+            cells = h * (y[:-1] + y[1:]) / 2 + h * h * (d[:-1] - d[1:]) / 12
+            self._knot_integrals = np.concatenate(([0.0], np.cumsum(cells)))
+        return self._knot_integrals
+
+    def integral(self, xq, cells=None):
+        """Integral of the spline from x[0] to each query point; ``cells``,
+        the points' cell indices if the caller knows them, skips the search."""
+        args, i = self._cell_args(xq, cells)
+        return self.knot_integrals()[i] + _kernels.hermite_cell_integral(*args)
+
+
 def arclength_grid(x, speed, n_nodes):
     """(S, x_u): total arc length, and the parameters of n_nodes points evenly
     spaced in arc length, for ds/dx = speed on increasing nodes x.  Spline
-    antiderivative, inverted by a second spline; ends pinned to x[0], x[-1]."""
-    s_of_x = CubicSpline(x, speed).antiderivative()
-    s_nodes = s_of_x(x) - s_of_x(x[0])
+    antiderivative, inverted by a second spline: the spline of x on the
+    (non-uniform) arc lengths of the nodes.  Ends pinned to x[0], x[-1]."""
+    s_nodes = Spline(x, speed).knot_integrals()
     S = float(s_nodes[-1])
-    x_u = CubicSpline(s_nodes, x)(np.linspace(0.0, S, n_nodes))
+    x_u = Spline(s_nodes, x)(np.linspace(0.0, S, n_nodes))
     x_u[0], x_u[-1] = x[0], x[-1]
     return S, x_u
 
@@ -365,8 +472,10 @@ def _log_isothermal(p):
     """Isothermal coordinate t(s) = integral ds/rho anchored at the equator.
 
     The 1/s and 1/(S-s) singularities are split off and integrated in closed
-    form; the smooth remainder goes through a spline antiderivative.
-    Returns a callable t(s) valid on (0, S).
+    form; the smooth remainder is the closed-form integral of its not-a-knot
+    ``Spline`` on the s-grid.  Returns a callable t(s, cells=None) valid on
+    (0, S); cells, the points' cell indices on the s-grid if the caller
+    knows them, skips the search for them.
     """
     S = p.total_length
     s = p.s_grid
@@ -379,11 +488,11 @@ def _log_isothermal(p):
         f[half:] = ((S - s[half:]) - rho[half:]) / (rho[half:] * (S - s[half:])) \
             - 1.0 / s[half:]
     f[0] = f[-1] = -1.0 / S
-    G = CubicSpline(s, f).antiderivative()
+    G = Spline(s, f).integral
     G_mid = float(G(0.5 * S))
 
-    def t(x):
-        return np.log(x / (S - x)) + (G(x) - G_mid)
+    def t(x, cells=None):
+        return np.log(x / (S - x)) + (G(x, cells) - G_mid)
 
     return t
 
@@ -395,8 +504,10 @@ def to_conformal(p, n_nodes=2048):
     the nodes exceeds SYMMETRY_TOL.
     Matches the isothermal coordinate t(s) of the profile (zero at the
     equator) to the round-sphere Mercator coordinate q(theta) = ln tan(theta/2)
-    by one bisection of the increasing t, vectorized over all interior nodes
-    and run to adjacent doubles, and sets e^{2u} = rho^2 / sin^2 theta there.
+    by one bisection of the increasing t, vectorized over all interior nodes:
+    each root is bracketed by the s-grid cell where t crosses q, then
+    bisected inside that cell to adjacent doubles.  e^{2u} = rho^2 /
+    sin^2 theta there.
     """
     rho = p.rho_grid
     defect = float(np.max(np.abs(rho - rho[::-1])) / np.max(rho))
@@ -409,15 +520,18 @@ def to_conformal(p, n_nodes=2048):
             f"profile area {A:.6f} != 4*pi; normalize the surface first")
 
     S = p.total_length
+    s = p.s_grid
     t = _log_isothermal(p)
     theta = np.linspace(0.0, np.pi, n_nodes)
     q = np.log(np.tan(0.5 * theta[1:-1]))
 
-    lo = np.full(n_nodes - 2, 1e-12 * S)
-    hi = np.full(n_nodes - 2, S * (1.0 - 1e-12))
+    # t(s[k]) < q <= t(s[k + 1]): the root lies in cell k
+    k = np.searchsorted(t(s[1:-1]), q)
+    lo = np.maximum(s[k], 1e-12 * S)
+    hi = np.minimum(s[k + 1], S * (1.0 - 1e-12))
     mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):
-        below = t(mid) < q
+        below = t(mid, k) < q
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         mid = 0.5 * (lo + hi)
@@ -450,9 +564,9 @@ def conformal_to_arclength(c, n_nodes=4097):
 
     K = conformal_curvature(c)
 
-    u_sp = CubicSpline(theta, c.u)
-    du_sp = CubicSpline(theta, du)
-    K_sp = CubicSpline(theta, K)
+    u_sp = Spline(theta, c.u)
+    du_sp = Spline(theta, du)
+    K_sp = Spline(theta, K)
 
     rho_u = np.exp(u_sp(th_u)) * np.sin(th_u)
     rho_u[0] = rho_u[-1] = 0.0

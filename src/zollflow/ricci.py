@@ -29,8 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import FlowInstabilityError
-from .profile import (FOUR_PI, SYMMETRY_TOL, ConformalProfile, conformal_grid,
-                      curvature_arclength)
+from .profile import FOUR_PI, SYMMETRY_TOL, ConformalProfile, conformal_grid
 
 STABILITY_FACTOR = 0.4  # explicit step: factor * h^2 * min e^{2u}
 # evolve's BDF2 step: at most DT_PER_H * h at the default stability factor,
@@ -39,6 +38,10 @@ STABILITY_FACTOR = 0.4  # explicit step: factor * h^2 * min e^{2u}
 DT_PER_H = 1.0 / 30.0
 MIN_STEPS = 16
 MAX_STEPS = 50_000_000  # flow steps per checkpoint interval
+# rounding floor of lprime_numeric's residuals, in ulps of l(0) over the
+# shortest horizon (Neville on three halving horizons amplifies a slope's
+# 2-ulp rounding error about sevenfold)
+LPRIME_FLOOR_ULPS = 64
 TWO_PI = 2.0 * np.pi
 
 
@@ -112,6 +115,13 @@ def flow_step(state, dt):
     return make_state(c, state.t + dt)
 
 
+def _kernel_grid(profile):
+    """flow_kernel's sin_t, cot_t, w and symmetrize for this profile, its
+    symmetry measured against SYMMETRY_TOL."""
+    sin_t, cot_t, w = conformal_grid(profile.n_nodes)
+    return sin_t, cot_t, w, int(profile.symmetry_defect() < SYMMETRY_TOL)
+
+
 def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
            stability_factor=STABILITY_FACTOR):
     """Run the flow to horizon T, returning checkpoints plus the final state.
@@ -128,8 +138,7 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
     if checkpoint_every is None or checkpoint_every <= 0.0:
         checkpoint_every = T
     c = initial.profile.copy()
-    sin_t, cot_t, w = conformal_grid(c.n_nodes)
-    symmetrize = 1 if initial.profile.symmetry_defect() < SYMMETRY_TOL else 0
+    sin_t, cot_t, w, symmetrize = _kernel_grid(c)
     dt_max = bdf2_dt(c, stability_factor)
     if dt_cap > 0.0:
         dt_max = min(dt_max, dt_cap)
@@ -173,7 +182,7 @@ def lprime_analytic(p):
     For a unit-equator surface (rho_eq = 1) this is -2 pi (K_eq - Kbar).
     """
     s_eq, rho_eq = p.equator()
-    k_eq = float(curvature_arclength(p, s_eq))
+    k_eq = -float(p.d2rho(s_eq)) / rho_eq  # K = -rho''/rho
     k_bar = FOUR_PI / p.area()
     return -TWO_PI * rho_eq * (k_eq - k_bar)
 
@@ -194,12 +203,20 @@ def lprime_numeric(initial, dt_list):
     slopes are polynomial-extrapolated to dt = 0 (Neville).  With fewer than
     two horizons, or when the extrapolation residuals fail to shrink
     monotonically, the result comes back flagged: value still reported,
-    trust it only at the quoted residual.
+    trust it only at the quoted residual.  Residuals below the slopes'
+    rounding floor, LPRIME_FLOOR_ULPS ulps of l(0) over the shortest
+    horizon, show no trend and flag nothing: a flow that keeps l to
+    rounding (the round sphere) has slopes of pure rounding noise.
     """
     dts = sorted(float(d) for d in dt_list)
     if not dts:
         raise ValueError("dt_list must be non-empty")
-    l0 = initial.equator_length()
+    # l0 after the area renormalization every flow starts with, so that
+    # the slopes measure the flow and not the grid's area error
+    c = initial.profile.copy()
+    sin_t, cot_t, w, symmetrize = _kernel_grid(c)
+    _kernels.flow_kernel(c.u, c.h, sin_t, cot_t, w, 0.0, 0, symmetrize)
+    l0 = TWO_PI * np.exp(c.u_equator())
     n_steps = max(MIN_STEPS, math.ceil(dts[-1] / bdf2_dt(initial.profile)))
     slopes = []
     for dt in dts:
@@ -219,7 +236,8 @@ def lprime_numeric(initial, dt_list):
                / (x[level:] - x[:len(x) - level]))
         diag.append(tab[0])
     residuals = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
-    flagged = any(residuals[i + 1] > residuals[i]
-                  for i in range(len(residuals) - 1))
+    floor = LPRIME_FLOOR_ULPS * math.ulp(l0) / dts[0]
+    flagged = float(residuals[-1]) > floor and any(
+        residuals[i + 1] > residuals[i] for i in range(len(residuals) - 1))
     return LprimeResult(value=float(diag[-1]), residual=float(residuals[-1]),
                         flagged=flagged, slopes=tuple(slopes))

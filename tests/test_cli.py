@@ -210,6 +210,29 @@ class TestOutputs:
         assert abs(d["analytic"]) < 1e-6
         assert not d["zoll_not_preserved"]
 
+    def test_lprime_round_numeric_vanishes(self, tmp_path):
+        out = tmp_path / "l.json"
+        assert run(["lprime", "--surface", "round", "--nodes", "512",
+                    "--samples", "4", "--out", str(out)]) == 0
+        d = json.loads(out.read_text())
+        assert abs(d["numeric"]) < 1e-12
+        assert d["flagged"] is False
+
+    def test_michel_odd_function_built_once(self, tmp_path, monkeypatch):
+        from zollflow import catalog
+        built = []
+
+        class Counted(catalog.OddFunction):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(catalog, "OddFunction", Counted)
+        assert run(["lprime", "--surface", "michel", "--coeffs", "0.3,-0.3",
+                    "--nodes", "256", "--samples", "3",
+                    "--out", str(tmp_path / "m.json")]) == 0
+        assert len(built) == 1
+
     def test_lprime_michel_numeric_by_symmetry(self, tmp_path):
         # the measured symmetry decides the numeric branch: h = 0 flows as
         # the round sphere; a nonzero h has no conformal gauge, so no

@@ -131,6 +131,44 @@ class TestArclengthGauge:
         central = (p.drho(s + e) - p.drho(s - e)) / (2.0 * e)
         assert np.max(np.abs(central - p.d2rho(s))) < 1e-8
 
+    @staticmethod
+    def _bisected_equator(p):
+        # the plain bisection of the drho cubic over the whole cell
+        h, d = p.h, p.drho_grid
+        j = min(max(int(np.argmax(p.rho_grid)), 1), p.n_nodes - 2)
+        if d[j] > 0.0 >= d[j + 1]:
+            lo, hi = j * h, (j + 1) * h
+        elif d[j - 1] >= 0.0 > d[j]:
+            lo, hi = (j - 1) * h, j * h
+        else:
+            lo = hi = j * h
+        s = 0.5 * (lo + hi)
+        while lo < s < hi:
+            if _kernels.hermite_eval(s, h, d, p.d2rho_grid) > 0.0:
+                lo = s
+            else:
+                hi = s
+            s = 0.5 * (lo + hi)
+        return s, float(p.rho(s))
+
+    @pytest.mark.parametrize("n", [257, 512, 4097])
+    def test_equator_matches_plain_bisection(self, n, michel_h):
+        profiles = [zf.to_arclength(m(), n_nodes=n) for m in
+                    (zf.round_sphere, zf.gong_raw, zf.gong_normalized)]
+        profiles.append(zf.michel_surface(michel_h, n_nodes=n))
+        profiles.append(zf.michel_surface(zf.OddFunction((0.1, -0.25, 0.15)),
+                                          n_nodes=n))
+        for p in profiles:
+            assert p.equator() == self._bisected_equator(p)
+
+    def test_equator_computed_once(self, gongn_p):
+        import dataclasses
+        assert gongn_p.equator() is gongn_p.equator()
+        # a replaced profile recomputes it
+        q = dataclasses.replace(gongn_p)
+        assert q._equator is None
+        assert q.equator() == gongn_p.equator()
+
     def test_validate_rejects_bad_slope(self, round_p):
         import dataclasses
         with pytest.raises(GaugeError):

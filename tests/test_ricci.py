@@ -266,6 +266,27 @@ class TestLprime:
         res = zf.lprime_numeric(st, (1e-3, 5e-4))
         assert abs(res.value) < 1e-8
 
+    @pytest.mark.parametrize("n", [512, 513, 1024])
+    def test_round_l0_after_renormalization(self, n):
+        # the grid's area error of u = 0 is not a slope: l0 is taken after
+        # the flow's first renormalization, so the round sphere's slopes
+        # are rounding noise, a few ulps of 2 pi over dt (the grid's area
+        # error alone gave -1.7e-7 at 512 nodes)
+        st = zf.make_state(zf.ConformalProfile(u=np.zeros(n)))
+        res = zf.lprime_numeric(st, (1e-3, 5e-4, 2.5e-4))
+        assert abs(res.value) < 1e-10
+        assert not res.flagged
+
+    def test_kernel_without_steps_only_renormalizes(self, gong_conf):
+        u = gong_conf.u.copy()
+        sin_t, cot_t, w = zf.profile.conformal_grid(len(u))
+        assert _kernels.flow_kernel(u, gong_conf.h, sin_t, cot_t, w, 0.0, 0,
+                                    1) == _kernels.OK
+        shift = u - gong_conf.u
+        assert np.ptp(shift) < 1e-15
+        area = 2.0 * np.pi * float(w @ (np.exp(2.0 * u) * sin_t))
+        assert area == pytest.approx(FOUR_PI, rel=1e-14)
+
     def test_single_dt_flagged(self, gong_conf):
         res = zf.lprime_numeric(zf.make_state(gong_conf.copy()), (1e-2,))
         assert res.flagged
