@@ -18,12 +18,15 @@ which conserves the Clairaut invariant rho(s) sin(psi).  The profile rho is
 supplied as value/derivative samples on a uniform s-grid and evaluated with
 cubic Hermite interpolation.  The integrator is an adaptive Dormand-Prince
 5(4) pair with error-per-unit-length control, so accumulated drift over a
-trajectory of length ell stays of order tol * ell.  ``integrate_kernel`` is
-the one adaptive march: it records every accepted step and, given a
-section, stops at the first step that carries s upward through it; that
-crossing is refined by ``section_crossing``.  Both loops run on Python
-floats (the grids are converted with ``tolist`` and the record is kept in
-lists): arithmetic on numpy scalars costs several times as much.
+trajectory of length ell stays of order tol * ell.  The pair is
+first-same-as-last (Dormand & Prince 1980): a step's seventh stage is the
+next step's first, so an attempt evaluates six right-hand sides.
+``integrate_kernel`` is the one adaptive march: it records every accepted
+step and, given a section, stops at the first step that carries s upward
+through it; that crossing is refined by ``section_crossing``.  Both loops
+run on Python floats: the grids come as lists (``ProfileMetric.grid_lists``,
+built once per profile) and the record is kept in lists, since arithmetic
+on numpy scalars costs several times as much.
 """
 
 import math
@@ -144,33 +147,35 @@ def _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a):
     return math.cos(psi), sp / rho, -(drho / rho) * sp, True
 
 
-def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a):
-    """One Dormand-Prince 5(4) step.
+def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1):
+    """One Dormand-Prince 5(4) step from a state whose right-hand side
+    (``_geo_rhs``) is k1.
 
-    Returns (ok, s5, phi5, psi5, es, ephi, epsi) where the e* are the
-    embedded error estimates of the step.
+    Returns (ok, s5, phi5, psi5, es, ephi, epsi, k7) where the e* are the
+    embedded error estimates of the step and k7 is the right-hand side at
+    its end: the pair is first-same-as-last, so k7 is the next step's k1.
     """
-    k1s, k1p, k1q, ok = _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a)
+    k1s, k1p, k1q, ok = k1
     if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0
+        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
 
     ys = s + dt * (0.2 * k1s)
     yq = psi + dt * (0.2 * k1q)
     k2s, k2p, k2q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
     if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0
+        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
 
     ys = s + dt * (3.0 / 40.0 * k1s + 9.0 / 40.0 * k2s)
     yq = psi + dt * (3.0 / 40.0 * k1q + 9.0 / 40.0 * k2q)
     k3s, k3p, k3q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
     if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0
+        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
 
     ys = s + dt * (44.0 / 45.0 * k1s - 56.0 / 15.0 * k2s + 32.0 / 9.0 * k3s)
     yq = psi + dt * (44.0 / 45.0 * k1q - 56.0 / 15.0 * k2q + 32.0 / 9.0 * k3q)
     k4s, k4p, k4q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
     if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0
+        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
 
     ys = s + dt * (19372.0 / 6561.0 * k1s - 25360.0 / 2187.0 * k2s
                    + 64448.0 / 6561.0 * k3s - 212.0 / 729.0 * k4s)
@@ -178,7 +183,7 @@ def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a):
                      + 64448.0 / 6561.0 * k3q - 212.0 / 729.0 * k4q)
     k5s, k5p, k5q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
     if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0
+        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
 
     ys = s + dt * (9017.0 / 3168.0 * k1s - 355.0 / 33.0 * k2s
                    + 46732.0 / 5247.0 * k3s + 49.0 / 176.0 * k4s
@@ -188,7 +193,7 @@ def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a):
                      - 5103.0 / 18656.0 * k5q)
     k6s, k6p, k6q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
     if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0
+        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
 
     s5 = s + dt * (35.0 / 384.0 * k1s + 500.0 / 1113.0 * k3s
                    + 125.0 / 192.0 * k4s - 2187.0 / 6784.0 * k5s
@@ -200,9 +205,10 @@ def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a):
                        + 125.0 / 192.0 * k4q - 2187.0 / 6784.0 * k5q
                        + 11.0 / 84.0 * k6q)
 
-    k7s, k7p, k7q, ok = _geo_rhs(s5, psi5, h, rho_a, drho_a, d2rho_a)
+    k7 = _geo_rhs(s5, psi5, h, rho_a, drho_a, d2rho_a)
+    k7s, k7p, k7q, ok = k7
     if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0
+        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
 
     es = dt * (71.0 / 57600.0 * k1s - 71.0 / 16695.0 * k3s
                + 71.0 / 1920.0 * k4s - 17253.0 / 339200.0 * k5s
@@ -213,7 +219,7 @@ def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a):
     eq = dt * (71.0 / 57600.0 * k1q - 71.0 / 16695.0 * k3q
                + 71.0 / 1920.0 * k4q - 17253.0 / 339200.0 * k5q
                + 22.0 / 525.0 * k6q - 1.0 / 40.0 * k7q)
-    return True, s5, phi5, psi5, es, ep, eq
+    return True, s5, phi5, psi5, es, ep, eq, k7
 
 
 def _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq):
@@ -245,15 +251,11 @@ def _next_dt(q, dt):
     return dt * fac
 
 
-def _as_floats(h, *grids):
-    """h as a float and the profile grids as lists, for the step loops."""
-    return (float(h),) + tuple(g.tolist() for g in grids)
-
-
 def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
                      length, tol, max_steps, section=None):
     """Integrate a geodesic for a fixed arc length, recording each step.
 
+    h is a float and the grids are lists (``ProfileMetric.grid_lists``).
     Returns (status, (tau, s, phi, psi, dt)), lists of floats: the states
     at tau = 0 and after every accepted step, and the size of each accepted
     step (one fewer entry).  The last step is clamped to end exactly at
@@ -261,8 +263,9 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
     With a section, the march stops with status SECTION after the first
     accepted step that carries s from below section to section or above:
     the first return to that parallel is then the record's last step.
+    An accepted step passes its last stage on as the next step's first; a
+    rejected one keeps its first stage.
     """
-    h, rho_a, drho_a, d2rho_a = _as_floats(h, rho_a, drho_a, d2rho_a)
     s, phi, psi, length, tol = map(float, (s0, phi0, psi0, length, tol))
     tau = 0.0
     tau_l = [tau]
@@ -274,13 +277,14 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
     dt = min(0.01, length)
     dt_min = 1e-14 * (length + 1.0)
     status = OK
+    k1 = _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a)
     for _ in range(max_steps):
         if tau >= length:
             break
         if dt > length - tau:
             dt = length - tau
-        ok, s5, phi5, psi5, es, ep, eq = _dp_step(
-            s, phi, psi, dt, h, rho_a, drho_a, d2rho_a)
+        ok, s5, phi5, psi5, es, ep, eq, k7 = _dp_step(
+            s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1)
         if not ok:
             status = ERR_POLE
             break
@@ -292,6 +296,7 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
             s = s5
             phi = phi5
             psi = psi5
+            k1 = k7
             tau_l.append(tau)
             s_l.append(s)
             phi_l.append(phi)
@@ -313,19 +318,20 @@ def section_crossing(h, rho_a, drho_a, d2rho_a, traj, i, s_section):
     carries s upward through s_section, reaches the section.
 
     The crossing is refined by 60 bisections on the sub-step size from the
-    step's start; if none reaches the section, the step's end is used.
-    Returns (tau, s, phi, psi) at the crossing.
+    step's start, whose first stage is computed once; if none reaches the
+    section, the step's end is used.  Returns (tau, s, phi, psi) at the
+    crossing.
     """
-    h, rho_a, drho_a, d2rho_a = _as_floats(h, rho_a, drho_a, d2rho_a)
     s_section = float(s_section)
     tau, s, phi, psi, dt = traj
+    k1 = _geo_rhs(s[i], psi[i], h, rho_a, drho_a, d2rho_a)
     lo = 0.0
     hi = dt[i]
     cdelta, cs, cphi, cpsi = hi, s[i + 1], phi[i + 1], psi[i + 1]
     for _it in range(60):
         mid = 0.5 * (lo + hi)
-        ok, ms, mphi, mpsi, _e1, _e2, _e3 = _dp_step(
-            s[i], phi[i], psi[i], mid, h, rho_a, drho_a, d2rho_a)
+        ok, ms, mphi, mpsi, _e1, _e2, _e3, _k7 = _dp_step(
+            s[i], phi[i], psi[i], mid, h, rho_a, drho_a, d2rho_a, k1)
         if not ok:
             break
         if ms >= s_section:

@@ -196,6 +196,8 @@ class ProfileMetric:
     d2rho_grid: np.ndarray
     _equator: tuple = field(default=None, init=False, repr=False,
                             compare=False)
+    _grid_lists: tuple = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.rho_grid[0] != 0.0 or self.rho_grid[-1] != 0.0:
@@ -235,6 +237,21 @@ class ProfileMetric:
     def area(self):
         w = simpson_weights(self.n_nodes, self.h)
         return 2.0 * np.pi * float(w @ self.rho_grid)
+
+    def grid_lists(self):
+        """(h, rho, drho, d2rho) as a float and lists of floats, built once
+        per profile and kept until ``drop_grid_lists``: the form the
+        geodesic step loops take, since arithmetic on numpy scalars costs
+        several times as much."""
+        if self._grid_lists is None:
+            self._grid_lists = (float(self.h), self.rho_grid.tolist(),
+                                self.drho_grid.tolist(),
+                                self.d2rho_grid.tolist())
+        return self._grid_lists
+
+    def drop_grid_lists(self):
+        """Free the lists of ``grid_lists``; the next call builds them."""
+        self._grid_lists = None
 
     def equator(self):
         """(s*, rho(s*)) at the maximal parallel, computed once per profile.
