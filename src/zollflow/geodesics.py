@@ -38,9 +38,6 @@ class GeodesicState:
     psi: float
     tau: float = 0.0
 
-    def clairaut(self, p):
-        return float(p.rho(self.s)) * np.sin(self.psi)
-
 
 @dataclass(frozen=True)
 class PeriodEntry:
@@ -154,7 +151,7 @@ def find_period(p, init, tol=1e-6, integrator_tol=DEFAULT_TOL,
         *args, traj, len(traj[0]) - 2, init.s)
     # rho at the section, bitwise float(p.rho(init.s))
     rho0 = _kernels.hermite_eval(float(init.s), *args[:3])
-    c = rho0 * np.sin(init.psi)  # bitwise init.clairaut(p)
+    c = rho0 * np.sin(init.psi)
     dphi = phi1 - init.phi
     best = None
     for n in range(1, MAX_RETURNS + 1):
@@ -198,12 +195,14 @@ def zoll_sweep(p, n_samples=32, tol=1e-6, integrator_tol=DEFAULT_TOL,
 
     entries = [PeriodEntry(clairaut_c=0.0, period=2.0 * p.total_length,
                            closure_error=0.0, converged=True)]
-    entries.extend(_sweep_entry(p, s0, rho_max, float(c), tol,
-                                integrator_tol, horizon) for c in cs[1:])
     # the entries share one build of the step loops' lists; free their 3n
-    # floats (0.4 MB, about 0.1 ms at 4097 nodes) with the sweep, not with
-    # the profile
-    p.drop_grid_lists()
+    # floats (0.4 MB, about 0.1 ms at 4097 nodes) with the sweep, also when
+    # an entry raises, not with the profile
+    try:
+        entries.extend(_sweep_entry(p, s0, rho_max, float(c), tol,
+                                    integrator_tol, horizon) for c in cs[1:])
+    finally:
+        p.drop_grid_lists()
 
     entries.append(PeriodEntry(clairaut_c=rho_max, period=TWO_PI * rho_max,
                                closure_error=0.0, converged=True))

@@ -264,6 +264,14 @@ class TestGridLists:
         # the sweep frees them when it ends
         assert p._grid_lists is None
 
+    def test_failed_sweep_frees_lists(self, gongn_p):
+        import dataclasses
+        p = dataclasses.replace(gongn_p)
+        # too short a horizon for any section return
+        with pytest.raises(NoClosureError):
+            zf.zoll_sweep(p, n_samples=12, horizon=0.5)
+        assert p._grid_lists is None
+
     def test_replace_rebuilds_lists(self, gongn_p):
         import dataclasses
         lists = gongn_p.grid_lists()

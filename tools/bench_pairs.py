@@ -6,10 +6,10 @@
         --claim certify/task_p50_s --what "one line on the change"
 
 Both sides are exported into a temporary directory, removed at the end:
-the parent revision with ``git archive`` and the change, by default, as
-the working tree's tracked and untracked (not ignored) files, or as
-``--change REV``.  Exporting instead of ``git worktree`` leaves the
-repository's metadata as it was, also when a run is interrupted.
+the parent revision with ``git archive`` and the change as the working
+tree's tracked and untracked (not ignored) files.  Exporting instead of
+``git worktree`` leaves the repository's metadata as it was, also when a
+run is interrupted.
 
 ``--pairs WORKLOAD:SEEDS`` runs ``perfbench/run.py --trace 0`` on both
 sides once per seed, back to back, the parent first on odd seeds, for
@@ -164,8 +164,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--parent", default="HEAD")
-    ap.add_argument("--change", default=None,
-                    help="revision of the change (default: working tree)")
     ap.add_argument("--pairs", type=spec, action="append", default=[])
     ap.add_argument("--traced", type=spec, action="append", default=[])
     ap.add_argument("--claim")
@@ -176,12 +174,12 @@ def main(argv=None):
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     workdir = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {"parent": workdir / "parent", "change": workdir / "change"}
-    for side, rev in (("parent", args.parent), ("change", args.change)):
-        export(rev, trees[side])
+    export(args.parent, trees["parent"])
+    export(None, trees["change"])
     report = {
         "label": args.label, "what": args.what,
         "parent_commit": git("rev-parse", args.parent).decode().strip(),
-        "change": args.change or "working tree",
+        "change": "working tree",
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds} --trace T",
         "host": None, "runs": []}
