@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage or config error, 2 certification failure
 surface), 3 numerical abort.
 """
 
-import argparse
 import dataclasses
 import functools
 import hashlib
@@ -71,7 +70,7 @@ class RunConfig:
         return catalog.OddFunction(tuple(self.coeffs))
 
     def validate(self):
-        for f in dataclasses.fields(self):
+        for f in CONFIG_FIELDS:
             value = getattr(self, f.name)
             kind = FIELD_KINDS.get(f.type, f.type)
             if (not isinstance(value, kind)
@@ -101,15 +100,14 @@ class RunConfig:
 
     def to_dict(self):
         # the fields are scalars and one tuple, so no deep copy is needed
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d = {f.name: getattr(self, f.name) for f in CONFIG_FIELDS}
         d["coeffs"] = list(self.coeffs)
         return d
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in dataclasses.fields(cls)}
         for k in d:
-            if k not in known:
+            if k not in CONFIG_NAMES:
                 raise ConfigError(f"{k}: unknown config field")
         d = dict(d)
         if "coeffs" in d:
@@ -127,6 +125,10 @@ class RunConfig:
         d.pop("out")  # hash identifies the computation, not the destination
         payload = json.dumps(d, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+CONFIG_FIELDS = dataclasses.fields(RunConfig)
+CONFIG_NAMES = frozenset(f.name for f in CONFIG_FIELDS)
 
 
 def fmt_float(x):
@@ -171,20 +173,21 @@ def build_profile(config):
 def build_conformal(config):
     """Conformal profile for the flow: area-normalized to 4 pi first.
 
-    ``to_conformal`` measures the reflection symmetry it needs, so a Michel
-    surface flows when its odd function vanishes and is a gauge error
-    otherwise.
+    A catalog meridian goes to ``to_conformal`` as it is, a Michel surface
+    as its arc-length profile.  ``to_conformal`` measures the reflection
+    symmetry it needs, so a Michel surface flows when its odd function
+    vanishes and is a gauge error otherwise.
     """
     if config.surface == "round":
         return ConformalProfile(u=np.zeros(config.n_nodes))
-    n_fine = 4 * config.n_nodes + 1
     meridian = MERIDIANS[config.surface]
     if meridian is None:
         # area 4 pi already
-        p = catalog.michel_surface(config.odd_function, n_nodes=n_fine)
+        surface = catalog.michel_surface(config.odd_function,
+                                         n_nodes=4 * config.n_nodes + 1)
     else:
-        p = to_arclength(normalize_to_volume(meridian()), n_nodes=n_fine)
-    return to_conformal(p, n_nodes=config.n_nodes)
+        surface = normalize_to_volume(meridian())
+    return to_conformal(surface, n_nodes=config.n_nodes)
 
 
 def _json_report(config, payload):
@@ -237,15 +240,15 @@ def cmd_verify_zoll(config):
 
 
 def cmd_flow(config):
-    c0 = build_conformal(config)
-    states = ricci.evolve(ricci.make_state(c0), config.T,
-                          checkpoint_every=config.checkpoint_every or None,
-                          dt_cap=config.dt)
     lines = _header_lines(config)
     cols = "t,equator_length,max_abs_K_minus_1,area,K_bar"
     if config.sweep_checkpoints:
         cols += ",period_spread"
     lines.append(cols)
+    c0 = build_conformal(config)
+    states = ricci.evolve(ricci.make_state(c0), config.T,
+                          checkpoint_every=config.checkpoint_every or None,
+                          dt_cap=config.dt)
     for st in states:
         row = [st.t, st.equator_length(), st.max_abs_k_minus_1, st.area,
                st.k_bar]
@@ -324,45 +327,104 @@ def cmd_lprime(config):
     return EXIT_CERT if contradiction else EXIT_OK
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built once per process."""
-    ap = argparse.ArgumentParser(
-        prog="zollflow",
-        description="Surfaces of revolution: geodesic periods, curvature, "
-                    "normalized Ricci flow.")
-    # every command takes the same options, so one parser reads them all
-    ap.add_argument("command", choices=tuple(COMMANDS))
-    ap.add_argument("--config", help="JSON config file; flags override")
-    ap.add_argument("--surface", choices=SURFACES)
-    ap.add_argument("--coeffs", help="comma-separated odd-polynomial "
-                                     "coefficients (michel)")
-    ap.add_argument("--nodes", type=int, dest="n_nodes")
-    ap.add_argument("--samples", type=int, dest="n_samples")
-    ap.add_argument("--tol", type=float)
-    ap.add_argument("--horizon", type=float)
-    ap.add_argument("--T", type=float, dest="T")
-    ap.add_argument("--dt", type=float,
-                    help="cap on the flow's time step (default h/30)")
-    ap.add_argument("--checkpoint-every", type=float, dest="checkpoint_every")
-    ap.add_argument("--sweep-checkpoints", action="store_true", default=None)
-    ap.add_argument("--out")
-    return ap
+def _coeff_list(text):
+    return [c for c in text.split(",") if c.strip()]
 
 
-def config_from_args(args):
+# command-line options: (option, RunConfig field, value type, metavar,
+# help).  A bool option is a flag and takes no value; --config is no field
+# but a JSON file of fields, which the other options override.
+OPTIONS = (
+    ("--config", "config", str, "PATH",
+     "JSON config file; the options below override its fields"),
+    ("--surface", "surface", str, "NAME", " | ".join(SURFACES)),
+    ("--coeffs", "coeffs", _coeff_list, "A,B,...",
+     "odd-polynomial coefficients of x, x^3, ... (michel)"),
+    ("--nodes", "n_nodes", int, "N", "grid nodes"),
+    ("--samples", "n_samples", int, "N", "Clairaut constants per sweep"),
+    ("--tol", "tol", float, "X", "geodesic integrator tolerance"),
+    ("--horizon", "horizon", float, "X", "geodesic march horizon"),
+    ("--T", "T", float, "X", "flow end time"),
+    ("--dt", "dt", float, "X", "cap on the flow's time step (default h/30)"),
+    ("--checkpoint-every", "checkpoint_every", float, "X",
+     "flow checkpoint interval"),
+    ("--sweep-checkpoints", "sweep_checkpoints", bool, "",
+     "sweep the geodesics of every flow checkpoint"),
+    ("--out", "out", str, "PATH", "output file (default: standard output)"),
+)
+OPTION_ROWS = {row[0]: row for row in OPTIONS}
+TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def usage():
+    lines = ["usage: zollflow COMMAND [--option VALUE | --option=VALUE]...",
+             "", "commands: " + ", ".join(COMMANDS), "", "options:"]
+    for option, _field, _kind, metavar, text in OPTIONS:
+        lines.append(f"  {(option + ' ' + metavar).strip():26}{text}")
+    lines.append(f"  {'-h, --help':26}print this help and exit")
+    lines += ["", "exit codes: 0 success, 1 usage or config error, "
+                  "2 certification failure, 3 numerical abort"]
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv):
+    """(command, values) from the command line, where values maps the
+    given options' fields to their typed values; (None, None) when it asks
+    for help.  Options take their value as the next argument or after
+    "="; the command may stand anywhere.  ConfigError on any usage error.
+    """
+    command = None
+    values = {}
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg in ("-h", "--help"):
+            return None, None
+        if not arg.startswith("-"):
+            if command is not None:
+                raise ConfigError(f"unexpected argument {arg!r}")
+            if arg not in COMMANDS:
+                raise ConfigError(f"unknown command {arg!r}; one of "
+                                  + ", ".join(COMMANDS))
+            command = arg
+            continue
+        option, has_value, value = arg.partition("=")
+        row = OPTION_ROWS.get(option)
+        if row is None:
+            raise ConfigError(f"{option}: unknown option")
+        _option, field, kind = row[:3]
+        if kind is bool:
+            if has_value:
+                raise ConfigError(f"{option}: takes no value")
+            values[field] = True
+            continue
+        if not has_value:
+            if i == len(argv) or argv[i].startswith("--"):
+                raise ConfigError(f"{option}: expected a value")
+            value = argv[i]
+            i += 1
+        try:
+            values[field] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{option}: expected {TYPE_NAMES[kind]}, "
+                              f"got {value!r}") from None
+    if command is None:
+        raise ConfigError("no command; one of " + ", ".join(COMMANDS))
+    return command, values
+
+
+def config_from_args(values):
+    """RunConfig of the parsed options over the --config file's fields."""
+    values = dict(values)
+    path = values.pop("config", None)
     base = {}
-    if args.config:
-        with open(args.config) as fh:
+    if path:
+        with open(path) as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
-            raise ConfigError(f"{args.config}: not a JSON object")
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config") and v is not None}
-    if "coeffs" in overrides:
-        overrides["coeffs"] = [c for c in overrides["coeffs"].split(",")
-                               if c.strip()]
-    base.update(overrides)
+            raise ConfigError(f"{path}: not a JSON object")
+    base.update(values)
     return RunConfig.from_dict(base)
 
 
@@ -376,15 +438,17 @@ COMMANDS = {
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        config = config_from_args(args)
+        command, values = parse_args(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            sys.stdout.write(usage())
+            return EXIT_OK
+        config = config_from_args(values)
     except (ConfigError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return COMMANDS[args.command](config)
+        return COMMANDS[command](config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE

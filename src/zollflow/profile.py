@@ -11,7 +11,9 @@ The height gauge carries the closed-form curvature
     K(z) = -r''(z) / ( r(z) (r'(z)^2 + 1)^2 )
 
 but is numerically useless near the poles where r' blows up, so conversions
-route all near-pole work through the arc-length gauge, where K = -rho''/rho.
+sample a meridian on the chi grid z = mid + a sin(chi), where r' cos(chi)
+stays finite, and curvature near the poles comes from the arc-length gauge
+(K = -rho''/rho) or the conformal one.
 """
 
 import functools
@@ -39,6 +41,14 @@ QUAD_EPSABS = 1e-10  # absolute scale of the error estimate accepted
 SYMMETRY_TOL = 1e-10
 # cap on the regula falsi steps of ProfileMetric.equator before it bisects
 EQUATOR_ILLINOIS_STEPS = 30
+# chi samples per theta node behind a meridian's conformal gauge
+MERIDIAN_SAMPLES = 4
+# |w| bound of the isothermal inversion in the Mercator variable w: roots
+# closer to a pole than about e^-|w| of the domain are not resolved
+MERCATOR_GUARD = math.log(1e12)
+# Newton steps of the isothermal inversion, and the step that ends it
+INVERSION_STEPS = 40
+INVERSION_TOL = 1e-12
 
 
 def simpson_weights(n, h):
@@ -384,6 +394,25 @@ def arclength_grid(x, speed, n_nodes):
     return S, x_u
 
 
+def _extrapolate_ends(v):
+    """Replace both end values of v by the cubic through the next four."""
+    v[0] = v[1] * 3.0 - v[2] * 3.0 + v[3]
+    v[-1] = v[-2] * 3.0 - v[-3] * 3.0 + v[-4]
+
+
+def _chi_speed(m, chi):
+    """(z, ds/dchi) at the samples chi of z = mid + a sin(chi), increasing
+    from -pi/2 to pi/2: ds/dchi = a sqrt(cos^2 chi + g^2) with
+    g = r'(z) cos(chi), finite at the poles for a smooth cap, where its
+    end values (0 * inf) are extrapolated."""
+    a = 0.5 * m.width
+    z = m.midpoint + a * np.sin(chi)
+    with np.errstate(all="ignore"):
+        g = m.dr(z) * np.cos(chi)
+    _extrapolate_ends(g)
+    return z, a * np.sqrt(np.cos(chi) ** 2 + g * g)
+
+
 def to_arclength(m, n_nodes=4097):
     """Reparametrize a meridian by arc length.
 
@@ -396,14 +425,7 @@ def to_arclength(m, n_nodes=4097):
     mid = m.midpoint
     n_fine = max(8 * n_nodes + 1, 16385)
     chi = np.linspace(-np.pi / 2, np.pi / 2, n_fine)
-    z = mid + a * np.sin(chi)
-
-    with np.errstate(all="ignore"):
-        g = m.dr(z) * np.cos(chi)  # finite at the poles for a smooth cap
-    # the endpoints are 0 * inf; cubic extrapolation from the interior
-    g[0] = g[1] * 3.0 - g[2] * 3.0 + g[3]
-    g[-1] = g[-2] * 3.0 - g[-3] * 3.0 + g[-4]
-    F = a * np.sqrt(np.cos(chi) ** 2 + g * g)
+    _z, F = _chi_speed(m, chi)
 
     S, chi_u = arclength_grid(chi, F, n_nodes)
     z_u = mid + a * np.sin(chi_u)
@@ -485,14 +507,13 @@ def conformal_curvature(c):
     return _kernels.curvature_grid(np.asarray(c.u, dtype=float), c.h, cot_t)
 
 
-def _log_isothermal(p):
-    """Isothermal coordinate t(s) = integral ds/rho anchored at the equator.
+def _isothermal_remainder(p):
+    """(G, G_mid): the not-a-knot ``Spline`` of the bounded part of 1/rho
+    on the s-grid, and its integral at the equator s = S/2.
 
-    The 1/s and 1/(S-s) singularities are split off and integrated in closed
-    form; the smooth remainder is the closed-form integral of its not-a-knot
-    ``Spline`` on the s-grid.  Returns a callable t(s, cells=None) valid on
-    (0, S); cells, the points' cell indices on the s-grid if the caller
-    knows them, skips the search for them.
+    The isothermal coordinate is t(s) = ln(s/(S - s)) + G.integral(s) -
+    G_mid: the 1/s and 1/(S-s) singularities are split off and integrated
+    in closed form.
     """
     S = p.total_length
     s = p.s_grid
@@ -505,65 +526,155 @@ def _log_isothermal(p):
         f[half:] = ((S - s[half:]) - rho[half:]) / (rho[half:] * (S - s[half:])) \
             - 1.0 / s[half:]
     f[0] = f[-1] = -1.0 / S
-    G = Spline(s, f).integral
-    G_mid = float(G(0.5 * S))
+    G = Spline(s, f)
+    return G, float(G.integral(0.5 * S))
+
+
+def _log_isothermal(p):
+    """Isothermal coordinate t(s) = integral ds/rho anchored at the equator,
+    as a callable t(s, cells=None) valid on (0, S); cells, the points' cell
+    indices on the s-grid if the caller knows them, skips the search."""
+    S = p.total_length
+    G, G_mid = _isothermal_remainder(p)
 
     def t(x, cells=None):
-        return np.log(x / (S - x)) + (G(x, cells) - G_mid)
+        return np.log(x / (S - x)) + (G.integral(x, cells) - G_mid)
 
     return t
 
 
-def to_conformal(p, n_nodes=2048):
-    """Conformal gauge of a reflection-symmetric, area-4pi profile.
+def _invert_isothermal(rem, anchor, w_knots, x_of_w, dx_dw, q):
+    """The points x where the isothermal coordinate t = w + R(x(w)) - anchor
+    equals q, for every q at once.
 
-    Symmetry is measured: GaugeError if max|rho - rho[::-1]| / max rho over
-    the nodes exceeds SYMMETRY_TOL.
-    Matches the isothermal coordinate t(s) of the profile (zero at the
-    equator) to the round-sphere Mercator coordinate q(theta) = ln tan(theta/2)
-    by one bisection of the increasing t, vectorized over all interior nodes:
-    each root is bracketed by the s-grid cell where t crosses q, then
-    bisected inside that cell to adjacent doubles.  e^{2u} = rho^2 /
-    sin^2 theta there.
+    w is the Mercator variable of the domain variable x, whose map x(w)
+    and derivative dx/dw (as a function of x) the caller gives; R is the
+    closed-form integral of ``rem``, the spline of the bounded remainder on
+    the knots x_k, whose Mercator values are ``w_knots`` (+-inf at the
+    poles).  t at the knots brackets each root in one knot cell, clamped
+    to |w| <= MERCATOR_GUARD; a secant through the cell's ends starts
+    Newton's method in w, whose derivative 1 + rem(x) dx/dw is positive,
+    and an iterate that leaves the bracket is replaced by its midpoint.
+    So every query stays strictly inside the knots.  Stops after a step
+    of at most INVERSION_TOL; GaugeError if none comes within
+    INVERSION_STEPS.
     """
-    rho = p.rho_grid
-    defect = float(np.max(np.abs(rho - rho[::-1])) / np.max(rho))
+    w_knots = np.clip(w_knots, -MERCATOR_GUARD, MERCATOR_GUARD)
+    t_knots = w_knots + (rem.knot_integrals() - anchor)
+    # t_knots[k] < q <= t_knots[k + 1]: the root lies in knot cell k
+    k = np.clip(np.searchsorted(t_knots, q) - 1, 0, len(t_knots) - 2)
+    lo, hi = w_knots[k], w_knots[k + 1]
+    w = lo + (q - t_knots[k]) * ((hi - lo) / (t_knots[k + 1] - t_knots[k]))
+    step = np.inf
+    for _ in range(INVERSION_STEPS):
+        x = x_of_w(w)
+        g = w + (rem.integral(x, k) - anchor) - q
+        below = g < 0.0
+        lo = np.where(below, w, lo)
+        hi = np.where(below, hi, w)
+        w_new = w - g / (1.0 + rem(x) * dx_dw(x))
+        w_new = np.where((lo <= w_new) & (w_new <= hi), w_new,
+                         0.5 * (lo + hi))
+        step = float(np.max(np.abs(w_new - w)))
+        w = w_new
+        if step <= INVERSION_TOL:
+            return x_of_w(w)
+    raise GaugeError(f"isothermal inversion did not converge "
+                     f"(last step {step:.1e})")
+
+
+def _refuse_unless_gauge_ready(radius, area_value):
+    """GaugeError unless the sampled parallel radii are reflection-symmetric
+    (max|r - r[::-1]| / max r <= SYMMETRY_TOL) and the area is 4 pi."""
+    defect = float(np.max(np.abs(radius - radius[::-1])) / np.max(radius))
     if defect > SYMMETRY_TOL:
         raise GaugeError("conformal gauge requires a reflection-symmetric "
                          f"profile (rho defect {defect:.1e})")
-    A = p.area()
-    if abs(A - FOUR_PI) > 1e-6 * FOUR_PI:
-        raise GaugeError(
-            f"profile area {A:.6f} != 4*pi; normalize the surface first")
+    if abs(area_value - FOUR_PI) > 1e-6 * FOUR_PI:
+        raise GaugeError(f"profile area {area_value:.6f} != 4*pi; "
+                         "normalize the surface first")
 
-    S = p.total_length
-    s = p.s_grid
-    t = _log_isothermal(p)
-    theta = np.linspace(0.0, np.pi, n_nodes)
-    q = np.log(np.tan(0.5 * theta[1:-1]))
 
-    # t(s[k]) < q <= t(s[k + 1]): the root lies in cell k
-    k = np.searchsorted(t(s[1:-1]), q)
-    lo = np.maximum(s[k], 1e-12 * S)
-    hi = np.minimum(s[k + 1], S * (1.0 - 1e-12))
-    mid = 0.5 * (lo + hi)
-    while np.any((lo < mid) & (mid < hi)):
-        below = t(mid, k) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        mid = 0.5 * (lo + hi)
+def _mercator_targets(n_nodes):
+    """(q, sin theta) at the interior nodes of the uniform theta grid, where
+    q(theta) = ln tan(theta/2) is the round sphere's Mercator coordinate."""
+    theta = np.linspace(0.0, np.pi, n_nodes)[1:-1]
+    return np.log(np.tan(0.5 * theta)), np.sin(theta)
 
-    u = np.empty(n_nodes)
-    u[1:-1] = np.log(p.rho(mid) / np.sin(theta[1:-1]))
 
-    # pole values: even quadratic fit in theta^2 through the 3 nearest nodes
+def _conformal_from_interior(u_interior):
+    """ConformalProfile from u at the interior nodes: the pole values come
+    from an even quadratic in theta^2 through the 3 nearest nodes, and the
+    symmetry of the (symmetric) input is pinned exactly."""
+    u = np.empty(len(u_interior) + 2)
+    u[1:-1] = u_interior
     k = np.arange(1, 4)
     V = np.vander((k * 1.0) ** 2, 3, increasing=True)
     u[0] = np.linalg.solve(V, u[1:4])[0]
     u[-1] = np.linalg.solve(V, u[-2:-5:-1])[0]
+    return ConformalProfile(u=0.5 * (u + u[::-1]))
 
-    u = 0.5 * (u + u[::-1])  # symmetric input; pin the symmetry exactly
-    return ConformalProfile(u=u)
+
+def _meridian_conformal(m, n_nodes, n_samples):
+    """Conformal gauge of a meridian from n_samples points of the chi grid
+    z = mid + a sin(chi) (odd in chi, so mirrored samples are exact).
+
+    t(chi) = integral ds/r is the round sphere's Mercator coordinate
+    w = ln tan(chi/2 + pi/4) plus the integral of the bounded remainder
+    (ds/dchi)/r - 1/cos(chi) (``_chi_speed``), anchored at chi = 0.  Then
+    u = ln(r(z)/sin theta) where t = ln tan(theta/2).
+    """
+    chi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_samples)
+    chi = 0.5 * (chi - chi[::-1])
+    z, speed = _chi_speed(m, chi)
+    with np.errstate(all="ignore"):
+        r = m.r(z)
+    r[0] = r[-1] = 0.0
+    _refuse_unless_gauge_ready(
+        r, 2.0 * np.pi * float(simpson_weights(n_samples, chi[1] - chi[0])
+                               @ (r * speed)))
+
+    f = np.empty(n_samples)
+    f[1:-1] = speed[1:-1] / r[1:-1] - 1.0 / np.cos(chi[1:-1])
+    _extrapolate_ends(f)
+    rem = Spline(chi, f)
+    with np.errstate(divide="ignore"):
+        w_knots = np.arctanh(np.sin(chi))
+    q, sin_t = _mercator_targets(n_nodes)
+    # chi = gd(w) = atan(sinh w), so dchi/dw = cos(chi)
+    chi_q = _invert_isothermal(rem, rem.knot_integrals()[n_samples // 2],
+                               w_knots, lambda w: np.arctan(np.sinh(w)),
+                               np.cos, q)
+    z_q = m.midpoint + 0.5 * m.width * np.sin(chi_q)
+    return _conformal_from_interior(np.log(m.r(z_q) / sin_t))
+
+
+def to_conformal(p, n_nodes=2048):
+    """Conformal gauge of a reflection-symmetric surface of area 4 pi,
+    given as a ``ProfileMetric`` or as a ``MeridianCurve``.
+
+    Symmetry is measured (GaugeError if max|rho - rho[::-1]| / max rho
+    over the samples exceeds SYMMETRY_TOL), and so is the area.  The
+    isothermal coordinate t of the surface (zero at the equator) is
+    matched to the round sphere's Mercator coordinate q(theta) =
+    ln tan(theta/2) by ``_invert_isothermal``, vectorized over the interior
+    theta nodes; e^{2u} = rho^2 / sin^2 theta there.  A profile's t comes
+    from its s-grid; a meridian is sampled once on MERIDIAN_SAMPLES
+    n_nodes + 1 points of its chi grid (``_meridian_conformal``).
+    """
+    if isinstance(p, MeridianCurve):
+        return _meridian_conformal(p, n_nodes, MERIDIAN_SAMPLES * n_nodes + 1)
+    _refuse_unless_gauge_ready(p.rho_grid, p.area())
+    S = p.total_length
+    G, G_mid = _isothermal_remainder(p)
+    s = p.s_grid
+    with np.errstate(divide="ignore"):
+        w_knots = np.log(s / (S - s))
+    q, sin_t = _mercator_targets(n_nodes)
+    s_q = _invert_isothermal(G, G_mid, w_knots,
+                             lambda w: S / (1.0 + np.exp(-w)),
+                             lambda x: x * (S - x) / S, q)
+    return _conformal_from_interior(np.log(p.rho(s_q) / sin_t))
 
 
 def conformal_to_arclength(c, n_nodes=4097):

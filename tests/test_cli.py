@@ -1,5 +1,6 @@
 """Command-line front end: configs, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -254,3 +255,96 @@ class TestOutputs:
         assert reports["h"]["numeric"] is None
         assert reports["h"]["flagged"] is None
         assert reports["h"]["certified_zoll"] is True
+
+
+class TestParser:
+    """The option table: every usage error is a config error (exit 1)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["flow", "--bogus", "1"], "--bogus: unknown option"),
+        (["flow", "--node", "256"], "--node: unknown option"),
+        (["flow", "--nodes", "abc"], "--nodes: expected an integer"),
+        (["flow", "--nodes=2.5"], "--nodes: expected an integer"),
+        (["flow", "--T", "soon"], "--T: expected a number"),
+        (["flow", "--nodes"], "--nodes: expected a value"),
+        (["flow", "--nodes", "--T", "0.1"], "--nodes: expected a value"),
+        (["flow", "--sweep-checkpoints=yes"], "takes no value"),
+        ([], "no command"),
+        (["--surface", "round"], "no command"),
+        (["frobnicate"], "unknown command 'frobnicate'"),
+        (["flow", "describe"], "unexpected argument 'describe'"),
+        (["flow", "-x"], "-x: unknown option"),
+    ])
+    def test_usage_errors_exit_1(self, capsys, argv, message):
+        assert run(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, capsys, flag):
+        assert run(["flow", flag]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: zollflow COMMAND")
+        for option, *_ in cli.OPTIONS:
+            assert option in out
+        for command in cli.COMMANDS:
+            assert command in out
+
+    def test_value_forms(self):
+        command, values = cli.parse_args(
+            ["--nodes=256", "flow", "--T", "0.5", "--coeffs=-0.3,0.3",
+             "--sweep-checkpoints", "--out", "x.csv"])
+        assert command == "flow"
+        assert values == {"n_nodes": 256, "T": 0.5,
+                          "coeffs": ["-0.3", "0.3"],
+                          "sweep_checkpoints": True, "out": "x.csv"}
+        # a value may start with "-" when it is a separate argument
+        assert cli.parse_args(["flow", "--coeffs", "-0.3,0.3"])[1] \
+            == {"coeffs": ["-0.3", "0.3"]}
+        # the last occurrence wins
+        assert cli.parse_args(["flow", "--nodes", "64", "--nodes=128"])[1] \
+            == {"n_nodes": 128}
+
+    def test_coeffs_forms_give_the_same_output(self, tmp_path):
+        outs = []
+        for i, coeffs in enumerate((["--coeffs=-0.3,0.3"],
+                                    ["--coeffs", "-0.3,0.3"])):
+            out = tmp_path / f"{i}.json"
+            assert run(["describe", "--surface", "michel", "--nodes", "256",
+                        "--out", str(out)] + coeffs) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["surface"] == "michel"
+
+    def test_every_option_sets_a_config_field(self):
+        fields = {f.name: f.type for f in dataclasses.fields(cli.RunConfig)}
+        for option, field, kind, *_ in cli.OPTIONS:
+            if field == "config":
+                continue
+            assert field in fields
+            if kind in (int, float, bool, str):
+                assert kind is fields[field]
+
+
+class TestConformalRoute:
+    def test_gong_flow_converts_the_meridian_through_cli(self, tmp_path,
+                                                         monkeypatch):
+        # the gauge conversion goes through the wrapped name
+        # cli.to_conformal, so a trace of cli.main covers it
+        seen = []
+        real = cli.to_conformal
+
+        def recorded(surface, *args, **kwargs):
+            seen.append(type(surface).__name__)
+            return real(surface, *args, **kwargs)
+
+        def no_arclength(*args, **kwargs):
+            raise AssertionError("flow went through to_arclength")
+
+        monkeypatch.setattr(cli, "to_conformal", recorded)
+        monkeypatch.setattr(cli, "to_arclength", no_arclength)
+        assert run(["flow", "--surface", "gong_raw", "--nodes", "256",
+                    "--T", "0.001", "--out", str(tmp_path / "f.csv")]) == 0
+        assert seen == ["MeridianCurve"]

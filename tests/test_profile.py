@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 import zollflow as zf
-from zollflow import _kernels
+from zollflow import _kernels, profile
 from zollflow.errors import DomainError, GaugeError, PoleProximityError
 from zollflow.profile import FOUR_PI, _log_isothermal, simpson_weights
 
@@ -239,3 +239,159 @@ class TestConformalGauge:
         c = zf.ConformalProfile(u=np.zeros(801))
         K = zf.conformal_curvature(c)
         assert np.max(np.abs(K - 1.0)) < 1e-12
+
+
+def _tilted_meridian():
+    # the round sphere leaning towards its upper pole: no mirror symmetry
+    def r(z):
+        return np.sqrt(1.0 - z * z) * (1.0 + 0.2 * z)
+
+    def dr(z):
+        w = np.sqrt(1.0 - z * z)
+        return -z / w * (1.0 + 0.2 * z) + 0.2 * w
+
+    return zf.meridian_from_callable(r, -1.0, 1.0, dr=dr)
+
+
+class TestMeridianConformal:
+    """``to_conformal`` of a MeridianCurve: one chi grid, no arc-length
+    profile in between."""
+
+    GONGS = {"gong_raw": zf.gong_raw, "gong_normalized": zf.gong_normalized}
+
+    @staticmethod
+    def _arclength_route(m, n, oversample=4):
+        return zf.to_conformal(zf.to_arclength(m, oversample * n + 1), n)
+
+    def test_round_is_flat(self):
+        c = zf.to_conformal(zf.round_sphere(), n_nodes=1024)
+        assert np.max(np.abs(c.u)) < 1e-10
+
+    @pytest.mark.parametrize("name", GONGS)
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    def test_matches_arclength_route(self, name, n):
+        m = zf.normalize_to_volume(self.GONGS[name]())
+        new = zf.to_conformal(m, n_nodes=n)
+        assert np.max(np.abs(new.u - self._arclength_route(m, n).u)) <= 3e-10
+
+    @pytest.mark.parametrize("name", GONGS)
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    def test_oversampling_error_no_larger(self, name, n):
+        # each route against its own run on twice the samples.  On the 3
+        # nodes next to each pole (and the pole values fitted through them)
+        # both carry the meridian's own rounding instead: r(z) there has a
+        # relative error of about eps / (z - z_lo), up to 1e-10 in u at 2048
+        # nodes, as large on either route and erratic in n
+        m = zf.normalize_to_volume(self.GONGS[name]())
+        new = zf.to_conformal(m, n_nodes=n).u
+        new_fine = profile._meridian_conformal(m, n, 8 * n + 1).u
+        old = self._arclength_route(m, n).u
+        old_fine = self._arclength_route(m, n, oversample=8).u
+        inner = slice(4, -4)
+        assert np.max(np.abs(new - new_fine)[inner]) \
+            <= np.max(np.abs(old - old_fine)[inner])
+        assert np.max(np.abs(new - new_fine)) <= 1e-9
+        assert np.max(np.abs(old - old_fine)) <= 1e-9
+
+    @pytest.mark.parametrize("name", GONGS)
+    def test_flowed_equator_length_agrees(self, name):
+        m = zf.normalize_to_volume(self.GONGS[name]())
+        lengths = [zf.evolve(zf.make_state(c), 0.05)[-1].equator_length()
+                   for c in (zf.to_conformal(m, n_nodes=1024),
+                             self._arclength_route(m, 1024))]
+        assert lengths[0] == pytest.approx(lengths[1], rel=1e-9)
+
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_newton_matches_per_node_brentq(self, n, monkeypatch):
+        # the isothermal coordinate on the same chi samples, solved node by
+        # node with brentq instead of the vectorized Newton inversion
+        m = zf.normalize_to_volume(zf.gong_normalized())
+        c = zf.to_conformal(m, n_nodes=n)
+        rems = []
+
+        class Kept(profile.Spline):
+            def __init__(self, x, y):
+                super().__init__(x, y)
+                rems.append(self)
+
+        monkeypatch.setattr(profile, "Spline", Kept)
+        profile._meridian_conformal(m, n, 4 * n + 1)
+        monkeypatch.undo()
+        rem, = rems
+        anchor = rem.integral(0.0)
+        theta = np.linspace(0.0, PI, n)
+        a, mid = 0.5 * m.width, m.midpoint
+        edge = 0.5 * PI - 1e-6
+
+        def u_brentq(i):
+            q = np.log(np.tan(0.5 * theta[i]))
+            chi = brentq(lambda x: np.arctanh(np.sin(x))
+                         + rem.integral(x) - anchor - q, -edge, edge,
+                         xtol=1e-18, rtol=4.0 * np.finfo(float).eps)
+            return np.log(m.r(mid + a * np.sin(chi)) / np.sin(theta[i]))
+
+        idx = np.unique(np.r_[1, 2, np.linspace(1, n - 2, 18).astype(int)])
+        for i in idx:
+            expect = 0.5 * (u_brentq(i) + u_brentq(n - 1 - i))
+            assert abs(c.u[i] - expect) <= 1e-12
+
+    def test_refuses_asymmetric_meridian(self):
+        m = _tilted_meridian()
+        with pytest.raises(GaugeError, match="reflection-symmetric"):
+            zf.to_conformal(m, n_nodes=256)
+        # the arc-length route refuses it for the same reason
+        with pytest.raises(GaugeError, match="reflection-symmetric"):
+            zf.to_conformal(zf.to_arclength(m, 1025), n_nodes=256)
+
+    def test_refuses_unnormalized_gong(self):
+        m = zf.gong_raw()
+        with pytest.raises(GaugeError, match="normalize the surface first"):
+            zf.to_conformal(m, n_nodes=256)
+        with pytest.raises(GaugeError, match="normalize the surface first"):
+            zf.to_conformal(zf.to_arclength(m, 1025), n_nodes=256)
+        # both routes measure the same area
+        areas = []
+        for surface in (m, zf.to_arclength(m, 1025)):
+            with pytest.raises(GaugeError) as e:
+                zf.to_conformal(surface, n_nodes=256)
+            areas.append(float(str(e.value).split()[2]))
+        assert areas[0] == pytest.approx(zf.area(m), abs=1e-6)
+        assert areas[1] == pytest.approx(zf.area(m), abs=1e-6)
+
+    def test_queries_stay_inside_the_knots(self, monkeypatch):
+        # Spline extrapolates with its end cells' cubics, which lose
+        # accuracy fast; every Newton iterate of both routes must query
+        # strictly between the first and the last knot
+        queries = []
+
+        class Recorded(profile.Spline):
+            def __call__(self, xq):
+                queries.append((self.x, np.asarray(xq)))
+                return super().__call__(xq)
+
+            def integral(self, xq, cells=None):
+                queries.append((self.x, np.asarray(xq)))
+                return super().integral(xq, cells)
+
+        n = 2049
+        m = zf.normalize_to_volume(zf.gong_normalized())
+        surfaces = (m, zf.to_arclength(m, 4 * n + 1),
+                    zf.michel_surface(zf.OddFunction(()), 4 * n + 1))
+        coarse = zf.to_arclength(m, 65)
+        monkeypatch.setattr(profile, "Spline", Recorded)
+        for surface in surfaces:
+            zf.to_conformal(surface, n_nodes=n)
+        # each conversion: at least two Newton iterates of two queries
+        assert len(queries) >= 3 * 4
+        # 65 knots for 2049 nodes put the pole-side roots in the end cells,
+        # whose pole ends the inversion clamps to MERCATOR_GUARD
+        zf.to_conformal(coarse, n_nodes=n)
+        profile._meridian_conformal(m, n, 65)
+        for knots, xq in queries:
+            assert np.all((knots[0] < xq) & (xq < knots[-1]))
+
+    def test_unconverged_inversion_raises(self, monkeypatch):
+        monkeypatch.setattr(profile, "INVERSION_STEPS", 1)
+        m = zf.normalize_to_volume(zf.gong_normalized())
+        with pytest.raises(GaugeError, match="did not converge"):
+            zf.to_conformal(m, n_nodes=256)
