@@ -138,52 +138,47 @@ def hermite_vec_slope(x, h, values, derivs):
             + (3 * t2 - 4 * t + 1) * derivs[i] + (3 * t2 - 2 * t) * derivs[i + 1])
 
 
+class _PoleHit(Exception):
+    """A geodesic stage reached rho <= 0, where the pole chart breaks down."""
+
+
 def _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a):
     rho = hermite_eval(s, h, rho_a, drho_a)
     if rho <= 0.0:
-        return 0.0, 0.0, 0.0, False
+        raise _PoleHit
     drho = hermite_eval(s, h, drho_a, d2rho_a)
     sp = math.sin(psi)
-    return math.cos(psi), sp / rho, -(drho / rho) * sp, True
+    return math.cos(psi), sp / rho, -(drho / rho) * sp
 
 
 def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1):
     """One Dormand-Prince 5(4) step from a state whose right-hand side
     (``_geo_rhs``) is k1.
 
-    Returns (ok, s5, phi5, psi5, es, ephi, epsi, k7) where the e* are the
+    Returns (s5, phi5, psi5, es, ephi, epsi, k7) where the e* are the
     embedded error estimates of the step and k7 is the right-hand side at
     its end: the pair is first-same-as-last, so k7 is the next step's k1.
+    Raises _PoleHit when a stage reaches a pole.
     """
-    k1s, k1p, k1q, ok = k1
-    if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
+    k1s, k1p, k1q = k1
 
     ys = s + dt * (0.2 * k1s)
     yq = psi + dt * (0.2 * k1q)
-    k2s, k2p, k2q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
-    if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
+    k2s, k2p, k2q = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
 
     ys = s + dt * (3.0 / 40.0 * k1s + 9.0 / 40.0 * k2s)
     yq = psi + dt * (3.0 / 40.0 * k1q + 9.0 / 40.0 * k2q)
-    k3s, k3p, k3q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
-    if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
+    k3s, k3p, k3q = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
 
     ys = s + dt * (44.0 / 45.0 * k1s - 56.0 / 15.0 * k2s + 32.0 / 9.0 * k3s)
     yq = psi + dt * (44.0 / 45.0 * k1q - 56.0 / 15.0 * k2q + 32.0 / 9.0 * k3q)
-    k4s, k4p, k4q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
-    if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
+    k4s, k4p, k4q = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
 
     ys = s + dt * (19372.0 / 6561.0 * k1s - 25360.0 / 2187.0 * k2s
                    + 64448.0 / 6561.0 * k3s - 212.0 / 729.0 * k4s)
     yq = psi + dt * (19372.0 / 6561.0 * k1q - 25360.0 / 2187.0 * k2q
                      + 64448.0 / 6561.0 * k3q - 212.0 / 729.0 * k4q)
-    k5s, k5p, k5q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
-    if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
+    k5s, k5p, k5q = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
 
     ys = s + dt * (9017.0 / 3168.0 * k1s - 355.0 / 33.0 * k2s
                    + 46732.0 / 5247.0 * k3s + 49.0 / 176.0 * k4s
@@ -191,9 +186,7 @@ def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1):
     yq = psi + dt * (9017.0 / 3168.0 * k1q - 355.0 / 33.0 * k2q
                      + 46732.0 / 5247.0 * k3q + 49.0 / 176.0 * k4q
                      - 5103.0 / 18656.0 * k5q)
-    k6s, k6p, k6q, ok = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
-    if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
+    k6s, k6p, k6q = _geo_rhs(ys, yq, h, rho_a, drho_a, d2rho_a)
 
     s5 = s + dt * (35.0 / 384.0 * k1s + 500.0 / 1113.0 * k3s
                    + 125.0 / 192.0 * k4s - 2187.0 / 6784.0 * k5s
@@ -206,9 +199,7 @@ def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1):
                        + 11.0 / 84.0 * k6q)
 
     k7 = _geo_rhs(s5, psi5, h, rho_a, drho_a, d2rho_a)
-    k7s, k7p, k7q, ok = k7
-    if not ok:
-        return False, s, phi, psi, 0.0, 0.0, 0.0, k1
+    k7s, k7p, k7q = k7
 
     es = dt * (71.0 / 57600.0 * k1s - 71.0 / 16695.0 * k3s
                + 71.0 / 1920.0 * k4s - 17253.0 / 339200.0 * k5s
@@ -219,7 +210,7 @@ def _dp_step(s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1):
     eq = dt * (71.0 / 57600.0 * k1q - 71.0 / 16695.0 * k3q
                + 71.0 / 1920.0 * k4q - 17253.0 / 339200.0 * k5q
                + 22.0 / 525.0 * k6q - 1.0 / 40.0 * k7q)
-    return True, s5, phi5, psi5, es, ep, eq, k7
+    return s5, phi5, psi5, es, ep, eq, k7
 
 
 def _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq):
@@ -277,37 +268,37 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
     dt = min(0.01, length)
     dt_min = 1e-14 * (length + 1.0)
     status = OK
-    k1 = _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a)
-    for _ in range(max_steps):
-        if tau >= length:
-            break
-        if dt > length - tau:
-            dt = length - tau
-        ok, s5, phi5, psi5, es, ep, eq, k7 = _dp_step(
-            s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1)
-        if not ok:
-            status = ERR_POLE
-            break
-        q = _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq)
-        if q <= 1.0:
-            if section is not None and s < section <= s5:
-                status = SECTION
-            tau += dt
-            s = s5
-            phi = phi5
-            psi = psi5
-            k1 = k7
-            tau_l.append(tau)
-            s_l.append(s)
-            phi_l.append(phi)
-            psi_l.append(psi)
-            dt_l.append(dt)
-            if status == SECTION:
+    try:
+        k1 = _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a)
+        for _ in range(max_steps):
+            if tau >= length:
                 break
-        dt = _next_dt(q, dt)
-        if dt < dt_min:
-            status = ERR_DT_UNDERFLOW
-            break
+            if dt > length - tau:
+                dt = length - tau
+            s5, phi5, psi5, es, ep, eq, k7 = _dp_step(
+                s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1)
+            q = _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq)
+            if q <= 1.0:
+                if section is not None and s < section <= s5:
+                    status = SECTION
+                tau += dt
+                s = s5
+                phi = phi5
+                psi = psi5
+                k1 = k7
+                tau_l.append(tau)
+                s_l.append(s)
+                phi_l.append(phi)
+                psi_l.append(psi)
+                dt_l.append(dt)
+                if status == SECTION:
+                    break
+            dt = _next_dt(q, dt)
+            if dt < dt_min:
+                status = ERR_DT_UNDERFLOW
+                break
+    except _PoleHit:
+        status = ERR_POLE
     if status == OK and tau < length:
         status = ERR_MAX_STEPS
     return status, (tau_l, s_l, phi_l, psi_l, dt_l)
@@ -318,27 +309,28 @@ def section_crossing(h, rho_a, drho_a, d2rho_a, traj, i, s_section):
     carries s upward through s_section, reaches the section.
 
     The crossing is refined by 60 bisections on the sub-step size from the
-    step's start, whose first stage is computed once; if none reaches the
-    section, the step's end is used.  Returns (tau, s, phi, psi) at the
-    crossing.
+    step's start, whose first stage is computed once; a sub-step that hits
+    a pole ends the refinement.  If none reaches the section, the step's
+    end is used.  Returns (tau, s, phi, psi) at the crossing.
     """
     s_section = float(s_section)
     tau, s, phi, psi, dt = traj
-    k1 = _geo_rhs(s[i], psi[i], h, rho_a, drho_a, d2rho_a)
     lo = 0.0
     hi = dt[i]
     cdelta, cs, cphi, cpsi = hi, s[i + 1], phi[i + 1], psi[i + 1]
-    for _it in range(60):
-        mid = 0.5 * (lo + hi)
-        ok, ms, mphi, mpsi, _e1, _e2, _e3, _k7 = _dp_step(
-            s[i], phi[i], psi[i], mid, h, rho_a, drho_a, d2rho_a, k1)
-        if not ok:
-            break
-        if ms >= s_section:
-            hi = mid
-            cdelta, cs, cphi, cpsi = mid, ms, mphi, mpsi
-        else:
-            lo = mid
+    try:
+        k1 = _geo_rhs(s[i], psi[i], h, rho_a, drho_a, d2rho_a)
+        for _it in range(60):
+            mid = 0.5 * (lo + hi)
+            ms, mphi, mpsi, _e1, _e2, _e3, _k7 = _dp_step(
+                s[i], phi[i], psi[i], mid, h, rho_a, drho_a, d2rho_a, k1)
+            if ms >= s_section:
+                hi = mid
+                cdelta, cs, cphi, cpsi = mid, ms, mphi, mpsi
+            else:
+                lo = mid
+    except _PoleHit:
+        pass  # the refinement stops at a pole; its last crossing stands
     return tau[i] + cdelta, cs, cphi, cpsi
 
 

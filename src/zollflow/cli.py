@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -55,12 +56,9 @@ class RunConfig:
     coeffs: tuple = ()
     n_nodes: int = 2048
     n_samples: int = 32
-    tol: float = 1e-10
-    closure_tol: float = 1e-6
     horizon: float = geodesics.DEFAULT_HORIZON
     T: float = 0.1
     checkpoint_every: float = 0.0
-    dt: float = 0.0
     sweep_checkpoints: bool = False
     out: str = ""
 
@@ -77,6 +75,9 @@ class RunConfig:
                     or (isinstance(value, bool) and f.type is not bool)):
                 raise ConfigError(
                     f"{f.name}: expected {f.type.__name__}, got {value!r}")
+            # rejects NaN and +-inf, and takes any int
+            if f.type is float and not -math.inf < value < math.inf:
+                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
         if self.surface not in SURFACES:
             raise ConfigError(f"surface: {self.surface!r} not one of {SURFACES}")
         if self.surface == "michel":
@@ -90,12 +91,11 @@ class RunConfig:
             raise ConfigError(f"n_nodes: {self.n_nodes} below minimum 64")
         if self.n_samples < 2:
             raise ConfigError(f"n_samples: {self.n_samples} below minimum 2")
-        for name in ("tol", "closure_tol", "horizon", "T"):
+        for name in ("horizon", "T"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name}: must be positive")
-        for name in ("checkpoint_every", "dt"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name}: must be non-negative")
+        if self.checkpoint_every < 0.0:
+            raise ConfigError("checkpoint_every: must be non-negative")
         return self
 
     def to_dict(self):
@@ -154,11 +154,15 @@ def _emit(config, text):
         sys.stdout.write(text)
 
 
+# the sweep's fixed tolerances, which close the "# defaults" header line
+TOLERANCES = (f" tol={fmt_float(geodesics.DEFAULT_TOL)}"
+              f" closure_tol={fmt_float(geodesics.CLOSURE_TOL)}")
+
+
 def _header_lines(config):
     return [f"# config_hash={config.digest()}",
             f"# defaults n_nodes={config.n_nodes} n_samples={config.n_samples}"
-            f" tol={fmt_float(config.tol)}"
-            f" closure_tol={fmt_float(config.closure_tol)}"]
+            + TOLERANCES]
 
 
 def build_profile(config):
@@ -211,9 +215,8 @@ def cmd_describe(config):
 
 
 def _sweep(config, p):
-    return geodesics.zoll_sweep(
-        p, n_samples=config.n_samples, tol=config.closure_tol,
-        integrator_tol=config.tol, horizon=config.horizon)
+    return geodesics.zoll_sweep(p, n_samples=config.n_samples,
+                                horizon=config.horizon)
 
 
 def _report_csv(config, report):
@@ -247,8 +250,7 @@ def cmd_flow(config):
     lines.append(cols)
     c0 = build_conformal(config)
     states = ricci.evolve(ricci.make_state(c0), config.T,
-                          checkpoint_every=config.checkpoint_every or None,
-                          dt_cap=config.dt)
+                          checkpoint_every=config.checkpoint_every or None)
     for st in states:
         row = [st.t, st.equator_length(), st.max_abs_k_minus_1, st.area,
                st.k_bar]
@@ -342,10 +344,8 @@ OPTIONS = (
      "odd-polynomial coefficients of x, x^3, ... (michel)"),
     ("--nodes", "n_nodes", int, "N", "grid nodes"),
     ("--samples", "n_samples", int, "N", "Clairaut constants per sweep"),
-    ("--tol", "tol", float, "X", "geodesic integrator tolerance"),
     ("--horizon", "horizon", float, "X", "geodesic march horizon"),
     ("--T", "T", float, "X", "flow end time"),
-    ("--dt", "dt", float, "X", "cap on the flow's time step (default h/30)"),
     ("--checkpoint-every", "checkpoint_every", float, "X",
      "flow checkpoint interval"),
     ("--sweep-checkpoints", "sweep_checkpoints", bool, "",
@@ -444,7 +444,9 @@ def main(argv=None):
             sys.stdout.write(usage())
             return EXIT_OK
         config = config_from_args(values)
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
+        # ValueError covers ConfigError, json.JSONDecodeError and
+        # UnicodeDecodeError
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

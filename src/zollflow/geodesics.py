@@ -22,7 +22,8 @@ from . import _kernels
 from .errors import NoClosureError, NumericalAbort
 
 TWO_PI = 2.0 * np.pi
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10     # DP5 error per unit length
+CLOSURE_TOL = 1e-6      # closure distance at which a return is the period
 DEFAULT_HORIZON = 8.0 * TWO_PI
 CLAIRAUT_CAP = 0.95
 MAX_STEPS = 4_000_000  # attempted steps per march before NumericalAbort
@@ -123,18 +124,17 @@ def closure_distance(rho, a, b):
             + abs(_wrap_angle(a.psi - b.psi)))
 
 
-def find_period(p, init, tol=1e-6, integrator_tol=DEFAULT_TOL,
-                horizon=DEFAULT_HORIZON):
+def find_period(p, init, horizon=DEFAULT_HORIZON):
     """Smallest return time of a geodesic to its initial state.
 
     The march stops at the first upward crossing of the section s = init.s,
     which is refined to the first return (tau1, phi1, psi1).  Return n is
     then (s0, phi1 + (n - 1)(phi1 - phi0), psi1) at tau = n tau1 (see the
     module docstring); the candidates are n = 1 .. MAX_RETURNS with
-    n tau1 <= horizon, and the first one with closure distance <= tol is
-    the period.  If no candidate closes to tolerance, the one with the
-    smallest closure distance is returned with converged=False (on a
-    surface with non-closing geodesics this measures the
+    n tau1 <= horizon, and the first one with closure distance <=
+    CLOSURE_TOL is the period.  If no candidate closes to tolerance, the
+    one with the smallest closure distance is returned with converged=False
+    (on a surface with non-closing geodesics this measures the
     latitude-oscillation quasi-period).  Raises NoClosureError if the
     section is not re-crossed within the horizon, NumericalAbort if the
     march failed before the first return.
@@ -142,7 +142,7 @@ def find_period(p, init, tol=1e-6, integrator_tol=DEFAULT_TOL,
     if np.cos(init.psi) <= 1e-12:
         raise ValueError("initial heading must have ds/dtau > 0 off the "
                          "equator; use the closed-form equator period instead")
-    status, traj = _march(p, init, horizon, integrator_tol, section=init.s)
+    status, traj = _march(p, init, horizon, DEFAULT_TOL, section=init.s)
     if status != _kernels.SECTION:
         _raise_for_status(status, "find_period")
         raise NoClosureError(f"no section return within horizon {horizon}")
@@ -160,7 +160,7 @@ def find_period(p, init, tol=1e-6, integrator_tol=DEFAULT_TOL,
         cand = GeodesicState(s=s1, phi=phi1 + (n - 1) * dphi, psi=psi1,
                              tau=n * tau1)
         d = closure_distance(rho0, init, cand)
-        if d <= tol:
+        if d <= CLOSURE_TOL:
             return PeriodEntry(clairaut_c=c, period=cand.tau,
                                closure_error=d, converged=True)
         if best is None or d < best[1]:
@@ -170,17 +170,15 @@ def find_period(p, init, tol=1e-6, integrator_tol=DEFAULT_TOL,
                        converged=False)
 
 
-def _sweep_entry(p, s0, rho_max, c, tol, integrator_tol, horizon):
+def _sweep_entry(p, s0, rho_max, c, horizon):
     psi0 = np.arcsin(min(c / rho_max, 1.0))
     init = GeodesicState(s=s0, phi=0.0, psi=psi0)
     # called through the module global: the traced benchmark
     # (perfbench/spans.py) wraps geodesics.find_period
-    return find_period(p, init, tol=tol, integrator_tol=integrator_tol,
-                       horizon=horizon)
+    return find_period(p, init, horizon=horizon)
 
 
-def zoll_sweep(p, n_samples=32, tol=1e-6, integrator_tol=DEFAULT_TOL,
-               horizon=DEFAULT_HORIZON):
+def zoll_sweep(p, n_samples=32, horizon=DEFAULT_HORIZON):
     """Measure geodesic periods across Clairaut constants.
 
     Samples c uniformly in [0, 0.95 rho_max] starting from the maximal
@@ -199,8 +197,8 @@ def zoll_sweep(p, n_samples=32, tol=1e-6, integrator_tol=DEFAULT_TOL,
     # floats (0.4 MB, about 0.1 ms at 4097 nodes) with the sweep, also when
     # an entry raises, not with the profile
     try:
-        entries.extend(_sweep_entry(p, s0, rho_max, float(c), tol,
-                                    integrator_tol, horizon) for c in cs[1:])
+        entries.extend(_sweep_entry(p, s0, rho_max, float(c), horizon)
+                       for c in cs[1:])
     finally:
         p.drop_grid_lists()
 

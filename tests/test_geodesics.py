@@ -18,7 +18,7 @@ class TestIntegrate:
     def test_great_circle_period(self, round_p):
         for psi0 in (0.2, 0.7, 1.2):
             init = zf.GeodesicState(s=np.pi / 2, phi=0.0, psi=psi0)
-            e = zf.find_period(round_p, init, tol=1e-6)
+            e = zf.find_period(round_p, init)
             assert e.converged
             assert e.period == pytest.approx(TWO_PI, abs=1e-9)
 
@@ -79,7 +79,7 @@ class TestFindPeriod:
         s_eq, rho_max = gongn_p.equator()
         init = zf.GeodesicState(s=s_eq, phi=0.0,
                                 psi=float(np.arcsin(0.5 / rho_max)))
-        e = zf.find_period(gongn_p, init, tol=1e-6)
+        e = zf.find_period(gongn_p, init)
         assert not e.converged
         assert e.closure_error > 1e-3
 
@@ -100,10 +100,11 @@ def plain_march(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0, length, tol,
         if tau >= length:
             break
         dt = min(dt, length - tau)
-        k1 = _kernels._geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a)
-        ok, s5, phi5, psi5, es, ep, eq, _k7 = _kernels._dp_step(
-            s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1)
-        if not ok:
+        try:
+            k1 = _kernels._geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a)
+            s5, phi5, psi5, es, ep, eq, _k7 = _kernels._dp_step(
+                s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1)
+        except _kernels._PoleHit:
             status = _kernels.ERR_POLE
             break
         q = _kernels._err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5,
@@ -135,10 +136,11 @@ def bisected_crossing(h, rho_a, drho_a, d2rho_a, traj, i, s_section):
     crossing = (hi, s[i + 1], phi[i + 1], psi[i + 1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        k1 = _kernels._geo_rhs(s[i], psi[i], h, rho_a, drho_a, d2rho_a)
-        ok, ms, mphi, mpsi, *_ = _kernels._dp_step(
-            s[i], phi[i], psi[i], mid, h, rho_a, drho_a, d2rho_a, k1)
-        if not ok:
+        try:
+            k1 = _kernels._geo_rhs(s[i], psi[i], h, rho_a, drho_a, d2rho_a)
+            ms, mphi, mpsi, *_ = _kernels._dp_step(
+                s[i], phi[i], psi[i], mid, h, rho_a, drho_a, d2rho_a, k1)
+        except _kernels._PoleHit:
             break
         if ms >= s_section:
             hi = mid
@@ -239,6 +241,34 @@ class TestMarchOracles:
                             == bisected_crossing(*args, traj, i, init.s))
                     crossings += 1
         assert crossings > 100
+
+    def test_crossing_stops_at_a_pole_like_bisection(self, gongn_p,
+                                                     monkeypatch):
+        # a chart that breaks down just past the section: both loops stop
+        # refining at the first stage beyond it
+        args = gongn_p.grid_lists()
+        rhs = _kernels._geo_rhs
+        s_bar = []
+        hits = []
+
+        def chart(s, psi, *grid):
+            if s > s_bar[-1]:
+                hits.append(s)
+                raise _kernels._PoleHit
+            return rhs(s, psi, *grid)
+
+        for init in starts(gongn_p):
+            status, traj = _kernels.integrate_kernel(
+                *args, init.s, init.phi, init.psi, TWO_PI,
+                geodesics.DEFAULT_TOL, geodesics.MAX_STEPS, init.s)
+            assert status == _kernels.SECTION
+            i = len(traj[0]) - 2
+            s_bar.append(init.s + 1e-3 * (traj[1][i + 1] - init.s))
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "_geo_rhs", chart)
+                got = _kernels.section_crossing(*args, traj, i, init.s)
+                assert got == bisected_crossing(*args, traj, i, init.s)
+        assert hits
 
 
 class TestGridLists:
