@@ -13,8 +13,8 @@ from .profile import (ConformalProfile, MeridianCurve, ProfileMetric, area,
                       curvature_meridian, meridian_from_callable,
                       normalize_to_volume, scale, to_arclength, to_conformal,
                       total_curvature)
-from .ricci import (FlowState, LprimeResult, equator_length_series, evolve,
-                    flow_step, lprime_analytic, lprime_numeric, make_state)
+from .ricci import (FlowState, LprimeResult, evolve, flow_step,
+                    lprime_analytic, lprime_numeric, make_state)
 from .weinstein import (DiscretenessVerdict, WeinsteinDatum, common_period,
                         discreteness_check, weinstein_integer)
 

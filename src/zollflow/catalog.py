@@ -79,6 +79,8 @@ class OddFunction:
         if a.size == 0:
             object.__setattr__(self, "coefficients", (0.0,))
             return
+        if not np.all(np.isfinite(a)):
+            raise ValueError("coefficients must be finite")
         if abs(a.sum()) > 1e-12:
             raise ValueError("coefficients must sum to zero so that h(+-1) = 0")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in a))

@@ -178,9 +178,8 @@ def build_conformal(config):
     """Conformal profile for the flow: area-normalized to 4 pi first.
 
     A catalog meridian goes to ``to_conformal`` as it is, a Michel surface
-    as its arc-length profile.  ``to_conformal`` measures the reflection
-    symmetry it needs, so a Michel surface flows when its odd function
-    vanishes and is a gauge error otherwise.
+    as its arc-length profile.  ``to_conformal`` needs no reflection
+    symmetry, so a Michel surface with a nonzero odd function flows too.
     """
     if config.surface == "round":
         return ConformalProfile(u=np.zeros(config.n_nodes))
@@ -299,16 +298,8 @@ def cmd_lprime(config):
     p = build_profile(config)
     analytic = ricci.lprime_analytic(p)
 
-    numeric = None
-    residual = None
-    flagged = None
-    try:
-        c0 = build_conformal(config)
-    except GaugeError:
-        pass  # no reflection symmetry, so no conformal gauge to flow in
-    else:
-        res = ricci.lprime_numeric(ricci.make_state(c0), DEFAULT_LPRIME_DTS)
-        numeric, residual, flagged = res.value, res.residual, res.flagged
+    res = ricci.lprime_numeric(ricci.make_state(build_conformal(config)),
+                               DEFAULT_LPRIME_DTS)
 
     certified = True
     try:
@@ -319,9 +310,9 @@ def cmd_lprime(config):
     contradiction = certified and abs(analytic) > 1e-3
     payload = {
         "analytic": analytic,
-        "numeric": numeric,
-        "residual": residual,
-        "flagged": flagged,
+        "numeric": res.value,
+        "residual": res.residual,
+        "flagged": res.flagged,
         "certified_zoll": certified,
         "zoll_not_preserved": contradiction,
     }

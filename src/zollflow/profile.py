@@ -37,9 +37,9 @@ FD_STEP_FRACTION = 1e-6
 # value, its difference from the coarser one the error estimate
 QUAD_NODES = (64, 128)
 QUAD_EPSABS = 1e-10  # absolute scale of the error estimate accepted
-# bound on max|rho - rho[::-1]| / max rho, and on max|u - u[::-1]|
+# bound on max|u - u[::-1]| below which u is made exactly symmetric
 SYMMETRY_TOL = 1e-10
-# cap on the regula falsi steps of ProfileMetric.equator before it bisects
+# cap on the regula falsi steps of grid_equator before it bisects
 EQUATOR_ILLINOIS_STEPS = 30
 # chi samples per theta node behind a meridian's conformal gauge
 MERIDIAN_SAMPLES = 4
@@ -197,7 +197,7 @@ class ProfileMetric:
     Hermite (each array interpolated with the next one as its derivative), as
     in the geodesic kernels, and d2rho is the slope of the drho cubic.
     Building one checks the smooth-pole conditions (GaugeError if they fail);
-    reflection symmetry is not declared but measured by ``to_conformal``.
+    ``equator`` is ``grid_equator``'s, as in the conformal gauge.
     """
 
     total_length: float
@@ -264,62 +264,61 @@ class ProfileMetric:
         self._grid_lists = None
 
     def equator(self):
-        """(s*, rho(s*)) at the maximal parallel, computed once per profile.
-
-        s* is the root of the Hermite drho cubic in the cell next to the
-        largest rho node where drho changes sign, bisected to adjacent
-        doubles; the node itself if neither neighbouring cell has one.
-        Illinois steps (regula falsi that halves the value kept at a
-        stalled end) narrow the cell to a few doubles before the bisection,
-        so it takes 4-7 cubic evaluations instead of about 45.
-        """
+        """(s*, rho(s*)) at the maximal parallel by ``grid_equator``,
+        computed once per profile."""
         if self._equator is None:
-            self._equator = self._find_equator()
+            self._equator = grid_equator(self.h, self.rho_grid,
+                                         self.drho_grid, self.d2rho_grid)
         return self._equator
 
-    def _find_equator(self):
-        h = self.h
-        d = self.drho_grid
-        j = min(max(int(np.argmax(self.rho_grid)), 1), self.n_nodes - 2)
-        if d[j] > 0.0 >= d[j + 1]:
-            lo, hi = j * h, (j + 1) * h
-        elif d[j - 1] >= 0.0 > d[j]:
-            lo, hi = (j - 1) * h, j * h
-            j -= 1
+
+def grid_equator(h, rho, drho, d2rho):
+    """(x*, rho(x*)) at the maximal parallel of rho sampled with its
+    derivatives at x_k = k h: the equator rule of both gauges.  x* is the
+    root of the Hermite drho cubic in the cell next to the largest rho
+    node where drho changes sign, bisected to adjacent doubles; the node
+    itself if neither neighbouring cell has one.  Illinois steps (regula
+    falsi that halves the value kept at a stalled end) narrow the cell to
+    a few doubles first, so it takes 4-7 cubic evaluations, not about 45.
+    """
+    j = min(max(int(np.argmax(rho)), 1), len(rho) - 2)
+    if drho[j] > 0.0 >= drho[j + 1]:
+        lo, hi = j * h, (j + 1) * h
+    elif drho[j - 1] >= 0.0 > drho[j]:
+        lo, hi = (j - 1) * h, j * h
+        j -= 1
+    else:
+        lo = hi = j * h
+    # drho > 0 at lo and <= 0 at hi; the cubic's end values are nodes
+    f_lo, f_hi = float(drho[j]), float(drho[j + 1])
+    stalled = 0
+    for _ in range(EQUATOR_ILLINOIS_STEPS):
+        # a step lands at least a few doubles inside the bracket, so a
+        # root next to one end closes the bracket from the other side
+        tol = 4.0 * math.ulp(hi)
+        if hi - lo <= 2.0 * tol:
+            break
+        x_new = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo),
+                        lo + tol), hi - tol)
+        f = float(_kernels.hermite_eval(x_new, h, drho, d2rho))
+        if f > 0.0:
+            lo, f_lo = x_new, f
+            if stalled == 1:
+                f_hi *= 0.5
+            stalled = 1
         else:
-            lo = hi = j * h
-        # drho > 0 at lo and <= 0 at hi; the cubic's end values are nodes
-        f_lo, f_hi = float(d[j]), float(d[j + 1])
-        stalled = 0
-        for _ in range(EQUATOR_ILLINOIS_STEPS):
-            # a step lands at least a few doubles inside the bracket, so a
-            # root next to one end closes the bracket from the other side
-            tol = 4.0 * math.ulp(hi)
-            if hi - lo <= 2.0 * tol:
-                break
-            s_new = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo),
-                            lo + tol), hi - tol)
-            f = float(_kernels.hermite_eval(s_new, h, d, self.d2rho_grid))
-            if f > 0.0:
-                lo, f_lo = s_new, f
-                if stalled == 1:
-                    f_hi *= 0.5
-                stalled = 1
-            else:
-                hi, f_hi = s_new, f
-                if stalled == -1:
-                    f_lo *= 0.5
-                stalled = -1
-        s_star = 0.5 * (lo + hi)
-        while lo < s_star < hi:
-            if _kernels.hermite_eval(s_star, h, d, self.d2rho_grid) > 0.0:
-                lo = s_star
-            else:
-                hi = s_star
-            s_star = 0.5 * (lo + hi)
-        # the scalar form of self.rho, bitwise equal to it
-        return s_star, float(_kernels.hermite_eval(s_star, h, self.rho_grid,
-                                                   self.drho_grid))
+            hi, f_hi = x_new, f
+            if stalled == -1:
+                f_lo *= 0.5
+            stalled = -1
+    x_star = 0.5 * (lo + hi)
+    while lo < x_star < hi:
+        if _kernels.hermite_eval(x_star, h, drho, d2rho) > 0.0:
+            lo = x_star
+        else:
+            hi = x_star
+        x_star = 0.5 * (lo + hi)
+    return x_star, float(_kernels.hermite_eval(x_star, h, rho, drho))
 
 
 def curvature_arclength(p, s):
@@ -470,34 +469,48 @@ class ConformalProfile:
     def copy(self):
         return ConformalProfile(u=self.u.copy())
 
-    def area(self):
-        w = simpson_weights(self.n_nodes, self.h)
-        return 2.0 * np.pi * float(w @ (np.exp(2.0 * self.u) * np.sin(self.theta)))
-
-    def u_equator(self):
-        """u at theta = pi/2 (node value if the grid has one, else cubic)."""
-        n = self.n_nodes
-        if n % 2 == 1:
-            return float(self.u[n // 2])
-        j = n // 2  # pi/2 sits mid-cell between j-1 and j
-        um2, um1, up1, up2 = self.u[j - 2], self.u[j - 1], self.u[j], self.u[j + 1]
-        return float((-um2 + 9.0 * um1 + 9.0 * up1 - up2) / 16.0)
+    def equator(self):
+        """``grid_equator`` of rho = e^u sin theta on the three nodes around
+        the largest rho, with derivatives from fourth-order differences of
+        u (even about both poles); not cached, as u may change in place."""
+        n, h, h12 = self.n_nodes, self.h, 12.0 * self.h
+        rho = np.exp(self.u) * conformal_grid(n)[0]
+        j = min(max(int(np.argmax(rho)), 1), n - 2)
+        # u at nodes j-3 .. j+3, mirrored about a pole the window crosses
+        u = self.u[[n - 1 - abs(n - 1 - abs(k))
+                    for k in range(j - 3, j + 4)]].tolist()
+        drho, d2rho = [], []
+        for i in range(3):
+            um2, um1, u0, up1, up2 = u[i:i + 5]
+            du = (8.0 * (up1 - um1) - (up2 - um2)) / h12
+            d2u = (16.0 * (up1 + um1) - (up2 + um2) - 30.0 * u0) / (h12 * h)
+            theta = (j - 1 + i) * h
+            e, s, c = math.exp(u0), math.sin(theta), math.cos(theta)
+            # rho' = e^u (u's + c), rho'' = e^u ((u'' + u'^2 - 1) s + 2u'c)
+            drho.append(e * (du * s + c))
+            d2rho.append(e * ((d2u + du * du - 1.0) * s + 2.0 * du * c))
+        x, rho_star = grid_equator(h, rho[j - 1:j + 2].tolist(), drho, d2rho)
+        return (j - 1) * h + x, rho_star
 
     def symmetry_defect(self):
         return float(np.max(np.abs(self.u - self.u[::-1])))
 
 
+@functools.lru_cache(maxsize=None)
 def conformal_grid(n_nodes):
     """(sin theta, cot theta, Simpson weights) on the uniform theta grid.
 
-    cot is set to 0 at the poles, where the curvature stencil does not use
-    it.
+    Built once per grid size, read-only.  cot is set to 0 at the poles,
+    where the curvature stencil does not use it.
     """
     theta = np.linspace(0.0, np.pi, n_nodes)
     sin_t = np.sin(theta)
     cot_t = np.zeros(n_nodes)
     cot_t[1:-1] = np.cos(theta[1:-1]) / sin_t[1:-1]
-    return sin_t, cot_t, simpson_weights(n_nodes, np.pi / (n_nodes - 1))
+    grid = sin_t, cot_t, simpson_weights(n_nodes, np.pi / (n_nodes - 1))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 def conformal_curvature(c):
@@ -509,7 +522,7 @@ def conformal_curvature(c):
 
 def _isothermal_remainder(p):
     """(G, G_mid): the not-a-knot ``Spline`` of the bounded part of 1/rho
-    on the s-grid, and its integral at the equator s = S/2.
+    on the s-grid, and its integral half way, at s = S/2.
 
     The isothermal coordinate is t(s) = ln(s/(S - s)) + G.integral(s) -
     G_mid: the 1/s and 1/(S-s) singularities are split off and integrated
@@ -531,7 +544,7 @@ def _isothermal_remainder(p):
 
 
 def _log_isothermal(p):
-    """Isothermal coordinate t(s) = integral ds/rho anchored at the equator,
+    """Isothermal coordinate t(s) = integral ds/rho anchored at s = S/2,
     as a callable t(s, cells=None) valid on (0, S); cells, the points' cell
     indices on the s-grid if the caller knows them, skips the search."""
     S = p.total_length
@@ -583,13 +596,8 @@ def _invert_isothermal(rem, anchor, w_knots, x_of_w, dx_dw, q):
                      f"(last step {step:.1e})")
 
 
-def _refuse_unless_gauge_ready(radius, area_value):
-    """GaugeError unless the sampled parallel radii are reflection-symmetric
-    (max|r - r[::-1]| / max r <= SYMMETRY_TOL) and the area is 4 pi."""
-    defect = float(np.max(np.abs(radius - radius[::-1])) / np.max(radius))
-    if defect > SYMMETRY_TOL:
-        raise GaugeError("conformal gauge requires a reflection-symmetric "
-                         f"profile (rho defect {defect:.1e})")
+def _refuse_unless_gauge_ready(area_value):
+    """GaugeError unless the area is 4 pi."""
     if abs(area_value - FOUR_PI) > 1e-6 * FOUR_PI:
         raise GaugeError(f"profile area {area_value:.6f} != 4*pi; "
                          "normalize the surface first")
@@ -604,15 +612,18 @@ def _mercator_targets(n_nodes):
 
 def _conformal_from_interior(u_interior):
     """ConformalProfile from u at the interior nodes: the pole values come
-    from an even quadratic in theta^2 through the 3 nearest nodes, and the
-    symmetry of the (symmetric) input is pinned exactly."""
+    from an even quadratic in theta^2 through the 3 nearest nodes, and u
+    measured symmetric (below SYMMETRY_TOL) is made exactly symmetric."""
     u = np.empty(len(u_interior) + 2)
     u[1:-1] = u_interior
     k = np.arange(1, 4)
     V = np.vander((k * 1.0) ** 2, 3, increasing=True)
     u[0] = np.linalg.solve(V, u[1:4])[0]
     u[-1] = np.linalg.solve(V, u[-2:-5:-1])[0]
-    return ConformalProfile(u=0.5 * (u + u[::-1]))
+    c = ConformalProfile(u=u)
+    if c.symmetry_defect() < SYMMETRY_TOL:
+        c.u = 0.5 * (u + u[::-1])
+    return c
 
 
 def _meridian_conformal(m, n_nodes, n_samples):
@@ -631,8 +642,8 @@ def _meridian_conformal(m, n_nodes, n_samples):
         r = m.r(z)
     r[0] = r[-1] = 0.0
     _refuse_unless_gauge_ready(
-        r, 2.0 * np.pi * float(simpson_weights(n_samples, chi[1] - chi[0])
-                               @ (r * speed)))
+        2.0 * np.pi * float(simpson_weights(n_samples, chi[1] - chi[0])
+                            @ (r * speed)))
 
     f = np.empty(n_samples)
     f[1:-1] = speed[1:-1] / r[1:-1] - 1.0 / np.cos(chi[1:-1])
@@ -650,21 +661,20 @@ def _meridian_conformal(m, n_nodes, n_samples):
 
 
 def to_conformal(p, n_nodes=2048):
-    """Conformal gauge of a reflection-symmetric surface of area 4 pi,
-    given as a ``ProfileMetric`` or as a ``MeridianCurve``.
+    """Conformal gauge of a surface of area 4 pi (measured: GaugeError
+    otherwise), given as a ``ProfileMetric`` or as a ``MeridianCurve``.
 
-    Symmetry is measured (GaugeError if max|rho - rho[::-1]| / max rho
-    over the samples exceeds SYMMETRY_TOL), and so is the area.  The
-    isothermal coordinate t of the surface (zero at the equator) is
-    matched to the round sphere's Mercator coordinate q(theta) =
-    ln tan(theta/2) by ``_invert_isothermal``, vectorized over the interior
-    theta nodes; e^{2u} = rho^2 / sin^2 theta there.  A profile's t comes
-    from its s-grid; a meridian is sampled once on MERIDIAN_SAMPLES
-    n_nodes + 1 points of its chi grid (``_meridian_conformal``).
+    The isothermal coordinate t, zero half way along the meridian, is
+    matched to the round sphere's Mercator coordinate ln tan(theta/2) by
+    ``_invert_isothermal`` at the interior theta nodes, where e^{2u} =
+    rho^2 / sin^2 theta.  Any other anchor gives the same metric up to an
+    axial boost tan(theta'/2) = e^b tan(theta/2), so no symmetry is needed.
+    A profile's t comes from its s-grid; a meridian is sampled once on
+    MERIDIAN_SAMPLES n_nodes + 1 points of its chi grid.
     """
     if isinstance(p, MeridianCurve):
         return _meridian_conformal(p, n_nodes, MERIDIAN_SAMPLES * n_nodes + 1)
-    _refuse_unless_gauge_ready(p.rho_grid, p.area())
+    _refuse_unless_gauge_ready(p.area())
     S = p.total_length
     G, G_mid = _isothermal_remainder(p)
     s = p.s_grid

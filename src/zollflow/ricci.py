@@ -15,11 +15,11 @@ min(e^{2u}), is the independent reference the kernel is tested against.
 Every step renormalizes the area back to 4 pi (the continuum flow preserves
 it, the discretization drifts).  Reflection-symmetric data (symmetry
 measured against SYMMETRY_TOL) is made exactly symmetric once and stepped
-on the half grid up to the equator, so it stays symmetric.
+on the half grid up to the equator; other data steps the whole grid.
 
-The equator length l(t) = 2 pi e^{u(pi/2, t)} and its first variation
-l'(0) = -2 pi (K_eq - Kbar) are the quantities the rest of the package cares
-about.
+The equator length l(t) = 2 pi max(e^u sin theta) (``FlowState.rho_max``)
+and its first variation l'(0) = -l0 (K_eq - Kbar) are the quantities the
+rest of the package cares about.
 """
 
 import math
@@ -32,9 +32,9 @@ from .errors import FlowInstabilityError
 from .profile import FOUR_PI, SYMMETRY_TOL, ConformalProfile, conformal_grid
 
 STABILITY_FACTOR = 0.4  # explicit step: factor * h^2 * min e^{2u}
-# evolve's BDF2 step: at most DT_PER_H * h at the default stability factor,
-# and at least MIN_STEPS steps per checkpoint interval, so the time error
-# falls like h^2 while the step count grows like 1/h
+# evolve's BDF2 step: at most DT_PER_H * h, and at least MIN_STEPS steps
+# per checkpoint interval, so the time error falls like h^2 while the step
+# count grows like 1/h
 DT_PER_H = 1.0 / 30.0
 MIN_STEPS = 16
 MAX_STEPS = 50_000_000  # flow steps per checkpoint interval
@@ -55,13 +55,14 @@ class FlowState:
     k_bar: float
     k_min: float
     k_max: float
+    rho_max: float  # radius of the maximal parallel
 
     @property
     def max_abs_k_minus_1(self):
         return max(abs(self.k_min - 1.0), abs(self.k_max - 1.0))
 
     def equator_length(self):
-        return TWO_PI * np.exp(self.profile.u_equator())
+        return TWO_PI * self.rho_max
 
 
 def make_state(profile, t=0.0):
@@ -72,7 +73,8 @@ def make_state(profile, t=0.0):
     area = TWO_PI * float(g.sum())
     k_bar = float(np.dot(g, K) / g.sum())
     return FlowState(profile=profile, t=t, area=area, k_bar=k_bar,
-                     k_min=float(K.min()), k_max=float(K.max()))
+                     k_min=float(K.min()), k_max=float(K.max()),
+                     rho_max=profile.equator()[1])
 
 
 def stability_dt(profile):
@@ -81,9 +83,9 @@ def stability_dt(profile):
             * float(np.exp(2.0 * profile.u).min()))
 
 
-def bdf2_dt(profile, stability_factor=STABILITY_FACTOR):
+def bdf2_dt(profile):
     """Longest step ``evolve`` takes on this profile's grid."""
-    return DT_PER_H * profile.h * stability_factor / STABILITY_FACTOR
+    return DT_PER_H * profile.h
 
 
 def flow_step(state, dt):
@@ -122,16 +124,15 @@ def _kernel_grid(profile):
     return sin_t, cot_t, w, int(profile.symmetry_defect() < SYMMETRY_TOL)
 
 
-def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
-           stability_factor=STABILITY_FACTOR):
+def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
     """Run the flow to horizon T, returning checkpoints plus the final state.
 
     Stepping between checkpoints happens in one ``flow_kernel`` call of
-    equal BDF2 steps, at most ``bdf2_dt`` long (so stability_factor scales
-    the step) and at most dt_cap when that is positive, and at least
-    MIN_STEPS of them.  Deterministic for a fixed grid and dt policy.  If
-    the state goes non-finite, or one checkpoint interval needs more than
-    MAX_STEPS steps, the FlowInstabilityError carries the last checkpoint.
+    equal BDF2 steps, at most ``bdf2_dt`` long and at most dt_cap when that
+    is positive, and at least MIN_STEPS of them.  Deterministic for a fixed
+    grid and dt policy.  If the state goes non-finite, or one checkpoint
+    interval needs more than MAX_STEPS steps, the FlowInstabilityError
+    carries the last checkpoint.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -139,7 +140,7 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
         checkpoint_every = T
     c = initial.profile.copy()
     sin_t, cot_t, w, symmetrize = _kernel_grid(c)
-    dt_max = bdf2_dt(c, stability_factor)
+    dt_max = bdf2_dt(c)
     if dt_cap > 0.0:
         dt_max = min(dt_max, dt_cap)
 
@@ -164,11 +165,6 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0,
         t = target
         states.append(make_state(c.copy(), t))
     return states
-
-
-def equator_length_series(checkpoints):
-    """(t, l(t)) per checkpoint, l = 2 pi e^{u at the equator}."""
-    return [(st.t, st.equator_length()) for st in checkpoints]
 
 
 def lprime_analytic(p):
@@ -216,7 +212,7 @@ def lprime_numeric(initial, dt_list):
     c = initial.profile.copy()
     sin_t, cot_t, w, symmetrize = _kernel_grid(c)
     _kernels.flow_kernel(c.u, c.h, sin_t, cot_t, w, 0.0, 0, symmetrize)
-    l0 = TWO_PI * np.exp(c.u_equator())
+    l0 = TWO_PI * c.equator()[1]
     n_steps = max(MIN_STEPS, math.ceil(dts[-1] / bdf2_dt(initial.profile)))
     slopes = []
     for dt in dts:

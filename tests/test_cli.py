@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,12 @@ class TestExitCodes:
         ([1, 2], [], "c.json"),
         ({"horizon": float("nan")}, [], "horizon: must be finite"),
         (b"\xff{}", [], "can't decode byte 0xff"),
+        # non-finite coefficients are refused by their own check, before
+        # numpy computes with them, so no RuntimeWarning comes first
+        (None, ["--surface", "michel", "--coeffs", "inf,-inf", "--nodes",
+                "64"], "config error: coeffs: coefficients must be finite"),
+        (None, ["--surface", "michel", "--coeffs", "0.3,nan", "--nodes",
+                "64"], "config error: coeffs: coefficients must be finite"),
     ])
     def test_malformed_input_is_config_error(self, tmp_path, capsys,
                                              config, flags, field):
@@ -72,16 +79,32 @@ class TestExitCodes:
                 config = json.dumps(config).encode()
             cfg.write_bytes(config)
             flags = ["--config", str(cfg)] + flags
-        assert run(["describe"] + flags) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["describe"] + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
-    def test_michel_flow_rejected(self, capsys):
-        # a nonzero odd function breaks the reflection symmetry the
-        # conformal gauge measures
-        assert run(["flow", "--surface", "michel", "--coeffs", "0.2,-0.2",
-                    "--nodes", "256", "--T", "0.001"]) == 1
-        assert capsys.readouterr().err.startswith("gauge error: ")
+    def test_michel_flow(self, tmp_path, capsys):
+        # a nonzero odd function gives a gauge with no reflection
+        # symmetry, which flows on the whole grid; it starts on the Zoll
+        # surface's equator, of length 2 pi, and leaves it
+        out = tmp_path / "f.csv"
+        assert run(["flow", "--surface", "michel", "--coeffs", "0.3,-0.3",
+                    "--nodes", "1024", "--T", "0.1", "--checkpoint-every",
+                    "0.05", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [[float(v) for v in ln.split(",")]
+                for ln in out.read_text().splitlines()
+                if ln and not ln.startswith(("#", "t,"))]
+        assert [r[0] for r in rows] == [0.0, 0.05, 0.1]
+        assert rows[0][1] == pytest.approx(2.0 * np.pi, abs=1e-9)
+        assert rows[-1][1] < 2.0 * np.pi - 1e-3
+        for _t, _length, _k_dev, area, _k_bar in rows:
+            assert area == pytest.approx(FOUR_PI, abs=1e-8)
 
     def test_michel_flow_without_coeffs(self, tmp_path):
         # h = 0 is the round sphere, and flows as one
@@ -243,9 +266,10 @@ class TestOutputs:
         assert len(built) == 1
 
     def test_lprime_michel_numeric_by_symmetry(self, tmp_path):
-        # the measured symmetry decides the numeric branch: h = 0 flows as
-        # the round sphere; a nonzero h has no conformal gauge, so no
-        # numeric value, and the run still succeeds
+        # both symmetry classes flow: h = 0 (symmetric, half grid) as the
+        # round sphere; a nonzero h (no symmetry, whole grid) keeps its
+        # equator's length to first order, as on the Zoll surface
+        # l'(0) = -2 pi (K_eq - 1) = 0
         reports = {}
         for name, coeffs in (("h0", []), ("h", ["--coeffs", "0.3,-0.3"])):
             out = tmp_path / f"{name}.json"
@@ -260,9 +284,10 @@ class TestOutputs:
         assert reports["h0"]["numeric"] == pytest.approx(round_numeric,
                                                          abs=1e-8)
         assert abs(reports["h0"]["numeric"]) < 1e-6
-        assert reports["h"]["numeric"] is None
-        assert reports["h"]["flagged"] is None
+        assert reports["h"]["flagged"] is False
+        assert abs(reports["h"]["numeric"]) < 1e-4
         assert reports["h"]["certified_zoll"] is True
+        assert reports["h"]["zoll_not_preserved"] is False
 
 
 class TestParser:

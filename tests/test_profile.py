@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 import zollflow as zf
-from zollflow import _kernels, profile
+from zollflow import _kernels, cli, profile
 from zollflow.errors import DomainError, GaugeError, PoleProximityError
 from zollflow.profile import FOUR_PI, _log_isothermal, simpson_weights
 
@@ -180,9 +180,59 @@ class TestConformalGauge:
         c = zf.to_conformal(round_p, n_nodes=512)
         assert np.max(np.abs(c.u)) < 1e-7
 
-    def test_requires_symmetry(self, michel_p):
-        with pytest.raises(GaugeError):
-            zf.to_conformal(michel_p)
+    def test_asymmetric_profile_has_gauge(self, michel_p):
+        # a Michel surface is not reflection-symmetric: its gauge is left
+        # as it is, keeps the area and has the equator 2 pi of the metric
+        c = zf.to_conformal(michel_p, n_nodes=1025)
+        assert c.symmetry_defect() > 0.09
+        assert zf.make_state(c).area == pytest.approx(FOUR_PI, rel=1e-10)
+        assert 2.0 * PI * c.equator()[1] == pytest.approx(2.0 * PI,
+                                                          abs=1e-9)
+        # the area is still measured
+        with pytest.raises(GaugeError, match="normalize the surface first"):
+            zf.to_conformal(zf.to_arclength(_tilted_meridian(), 1025),
+                            n_nodes=256)
+
+    @staticmethod
+    def _michel_closed_form(eps, n, b):
+        """u and du/db on the theta grid for h = eps (x - x^3), in the gauge
+        of the boost b: q = ln tan(psi/2) + eps sin^2(psi)/2 equals
+        ln tan(theta/2) + b, solved by Newton's method in
+        w = ln tan(psi/2) (dq/dw = 1 + h(cos psi)), and
+        u = ln(sin psi / sin theta); u = b and -b at the poles."""
+        theta = np.linspace(0.0, PI, n)[1:-1]
+        target = np.log(np.tan(0.5 * theta)) + b
+        w = target.copy()
+        for _ in range(40):
+            psi = 2.0 * np.arctan(np.exp(w))
+            x = np.cos(psi)
+            w -= (w + 0.5 * eps * np.sin(psi) ** 2 - target) \
+                / (1.0 + eps * (x - x ** 3))
+        psi = 2.0 * np.arctan(np.exp(w))
+        x = np.cos(psi)
+        u = np.concatenate(([b], np.log(np.sin(psi) / np.sin(theta)), [-b]))
+        # du/db = cos psi / (1 + h(cos psi))
+        du = np.concatenate(([1.0], x / (1.0 + eps * (x - x ** 3)), [-1.0]))
+        return u, du
+
+    @pytest.mark.parametrize("n, gate", [(257, 1e-9), (513, 1e-10),
+                                         (1025, 1e-11)])
+    def test_michel_matches_closed_form(self, n, gate):
+        # the isothermal coordinate of (1 + h)^2 dpsi^2 + sin^2 psi dphi^2
+        # is ln tan(psi/2) - H(cos psi) with H' = h/(1 - x^2), H(+-1) = 0;
+        # for h = eps (x - x^3), H = eps (x^2 - 1)/2.  Any anchor is an
+        # axial boost tan(theta'/2) = e^b tan(theta/2), so u is compared at
+        # the least-squares b (Gauss-Newton)
+        eps = 0.3
+        c = cli.build_conformal(cli.RunConfig(
+            surface="michel", coeffs=(eps, -eps), n_nodes=n))
+        b = 0.0
+        for _ in range(6):
+            u, du = self._michel_closed_form(eps, n, b)
+            b += du @ (c.u - u) / (du @ du)
+        u, _du = self._michel_closed_form(eps, n, b)
+        assert abs(b) > 0.01  # the anchors differ by a boost
+        assert np.max(np.abs(c.u - u)) <= gate
 
     def test_symmetry_is_measured(self):
         # a symmetric meridian built with no declaration passes
@@ -197,7 +247,8 @@ class TestConformalGauge:
             zf.to_conformal(gongn_p)
 
     def test_area_preserved(self, gong_conf):
-        assert gong_conf.area() == pytest.approx(FOUR_PI, rel=1e-8)
+        assert zf.make_state(gong_conf).area == pytest.approx(FOUR_PI,
+                                                              rel=1e-8)
 
     def test_symmetry_pinned(self, gong_conf):
         assert gong_conf.symmetry_defect() == 0.0
@@ -223,10 +274,36 @@ class TestConformalGauge:
             assert abs(c.u[i] - expect) <= 1e-12
 
     def test_u_equator_even_odd_grids(self, areanorm_p):
-        c_even = zf.to_conformal(areanorm_p, n_nodes=512)
-        c_odd = zf.to_conformal(areanorm_p, n_nodes=513)
-        assert c_even.u_equator() == pytest.approx(c_odd.u_equator(),
-                                                   abs=1e-8)
+        # the maximal parallel sits on a node of the odd grid and inside a
+        # cell of the even one
+        (th_even, rho_even), (th_odd, rho_odd) = (
+            zf.to_conformal(areanorm_p, n_nodes=n).equator()
+            for n in (512, 513))
+        assert rho_even == pytest.approx(rho_odd, abs=1e-8)
+        assert th_even == pytest.approx(PI / 2, abs=1e-12)
+        assert th_odd == pytest.approx(PI / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [513, 1025])
+    @pytest.mark.parametrize("surface",
+                             ["round", "gong_raw", "gong_normalized"])
+    def test_equator_is_node_value_on_odd_symmetric_grids(self, surface, n):
+        # on symmetric data the rule returns e^u at the middle node
+        # bitwise, before and after a flow
+        c = cli.build_conformal(cli.RunConfig(surface=surface, n_nodes=n))
+        for st in zf.evolve(zf.make_state(c), 0.05):
+            assert st.profile.equator()[1] == np.exp(st.profile.u[n // 2])
+            assert st.equator_length() \
+                == 2.0 * PI * np.exp(st.profile.u[n // 2])
+
+    @pytest.mark.parametrize("n", [513, 1025])
+    def test_michel_equator_is_2pi(self, n):
+        # the maximal parallel of (1 + h)^2 dpsi^2 + sin^2 psi dphi^2 is
+        # psi = pi/2, of length 2 pi, off the gauge's middle node
+        c = cli.build_conformal(cli.RunConfig(
+            surface="michel", coeffs=(0.3, -0.3), n_nodes=n))
+        assert abs(c.equator()[0] - PI / 2) > 0.05
+        assert zf.make_state(c).equator_length() == pytest.approx(
+            2.0 * PI, abs=1e-9)
 
     def test_round_trip_to_arclength(self, areanorm_p, gong_conf):
         back = zf.conformal_to_arclength(gong_conf, n_nodes=4097)
@@ -335,13 +412,25 @@ class TestMeridianConformal:
             expect = 0.5 * (u_brentq(i) + u_brentq(n - 1 - i))
             assert abs(c.u[i] - expect) <= 1e-12
 
-    def test_refuses_asymmetric_meridian(self):
+    def test_asymmetric_meridian_has_gauge(self):
         m = _tilted_meridian()
-        with pytest.raises(GaugeError, match="reflection-symmetric"):
-            zf.to_conformal(m, n_nodes=256)
-        # the arc-length route refuses it for the same reason
-        with pytest.raises(GaugeError, match="reflection-symmetric"):
-            zf.to_conformal(zf.to_arclength(m, 1025), n_nodes=256)
+        # not of area 4 pi: both routes refuse it for that
+        for surface in (m, zf.to_arclength(m, 1025)):
+            with pytest.raises(GaugeError,
+                               match="normalize the surface first"):
+                zf.to_conformal(surface, n_nodes=256)
+        # normalized, both routes give a gauge with no symmetry pinned.
+        # Their anchors differ by a boost, which leaves the area and the
+        # maximal parallel, 2 pi max r(z), as they are
+        m = zf.normalize_to_volume(m)
+        z_eq = brentq(m.dr, m.z_lo + 0.1 * m.width, m.z_hi - 0.1 * m.width,
+                      xtol=1e-15)
+        for surface in (m, zf.to_arclength(m, 4 * 1025 + 1)):
+            c = zf.to_conformal(surface, n_nodes=1025)
+            assert c.symmetry_defect() > 0.01
+            assert zf.make_state(c).area == pytest.approx(FOUR_PI,
+                                                          rel=1e-9)
+            assert c.equator()[1] == pytest.approx(m.r(z_eq), rel=1e-11)
 
     def test_refuses_unnormalized_gong(self):
         m = zf.gong_raw()

@@ -17,7 +17,12 @@ BENCHMARK.json's ``run_seconds``.
 ``--traced WORKLOAD:SEEDS`` does the same with ``--trace 1`` and reports,
 per run, whether it was ``correct`` and the largest per-task share of
 ``cli.main``'s self time (``perfbench/spans.self_times`` on the run's
-spans file), the quantity that ``spans.CLI_SELF_MAX`` gates.  ``--claim
+spans file), the quantity that ``spans.CLI_SELF_MAX`` gates.  Since that
+largest share is a maximum over a run's tasks, noise in any one task moves
+it; so each workload's summary also pairs the two sides' per-task
+``cli.main`` self times in seconds by seed and task index, and reports
+the median difference (change - parent) and the number of tasks where
+the change is at or below the parent.  ``--claim
 WORKLOAD/METRIC`` states whether the change won at least nine in ten of
 that workload's pairs and moved the median by more than the parent's
 interquartile range.
@@ -93,14 +98,29 @@ def perfbench(tree, workload, seed, trace, seconds):
     return json.loads(lines[-1]), json.loads(lines[-2])["perfbench"]
 
 
-def cli_self_shares(tree, spans_file):
-    """Per traced task: cli.main's self time over its wall time."""
+def cli_self_times(tree, spans_file):
+    """Per traced task, in task order: (cli.main's self time, its wall
+    time) in seconds."""
     keys = ("name", "start", "end", "parent", "task", "error")
     recorded = [[s[k] for k in keys]
                 for s in json.loads((tree / spans_file).read_text())]
-    return [self_s / (s[2] - s[1])
-            for s, self_s in zip(recorded, spans.self_times(recorded))
-            if s[0] == "cli.main"]
+    return [(self_s, s[2] - s[1]) for s, self_s in sorted(
+        zip(recorded, spans.self_times(recorded)), key=lambda p: p[0][4])
+        if s[0] == "cli.main"]
+
+
+def paired_self_times(runs):
+    """cli.main self time, change - parent, paired by seed and task index
+    over the traced runs of one workload."""
+    by_seed = {}
+    for r in runs:
+        by_seed.setdefault(r["seed"], {})[r["side"]] = r["cli_self_s"]
+    diffs = [c - p for sides in by_seed.values() if len(sides) == 2
+             for p, c in zip(sides["parent"], sides["change"])]
+    if not diffs:
+        return None
+    return {"tasks": len(diffs), "median_diff_s": statistics.median(diffs),
+            "change_at_or_below": sum(d <= 0.0 for d in diffs)}
 
 
 def stats(values):
@@ -129,12 +149,14 @@ def summarize(runs, claim):
             t = traced.setdefault(r["workload"], {s: [] for s in sides})
             t[r["side"]].append(r)
     for workload, by_side in traced.items():
+        paired = paired_self_times(by_side["parent"] + by_side["change"])
         for side, rs in by_side.items():
             by_side[side] = {
                 "runs": len(rs),
                 "correct": sum(r["correct"] for r in rs),
                 "median_max_cli_self_share": statistics.median(
                     r["max_cli_self_share"] for r in rs) if rs else None}
+        by_side["paired_cli_self_s"] = paired
     out = {"summary": summary, "traced": traced}
     if claim:
         workload, metric = claim.split("/")
@@ -200,9 +222,11 @@ def main(argv=None):
                        "metrics": {k: v["value"] for k, v
                                    in result["metrics"].items()}}
                 if trace:
-                    shares = cli_self_shares(trees[side], info["spans_file"])
+                    times = cli_self_times(trees[side], info["spans_file"])
+                    shares = [self_s / wall for self_s, wall in times]
                     run["max_cli_self_share"] = max(shares)
                     run["max_share_task"] = shares.index(max(shares))
+                    run["cli_self_s"] = [self_s for self_s, _wall in times]
                 report["host"] = info["env"]
                 report["runs"].append(run)
                 report.update(summarize(report["runs"], args.claim))
@@ -217,6 +241,9 @@ def main(argv=None):
         shutil.rmtree(workdir, ignore_errors=True)
     if "claim" in report:
         print(json.dumps(report["claim"], indent=1))
+    for workload, by_side in report.get("traced", {}).items():
+        print(f"{workload}: paired cli.main self time "
+              + json.dumps(by_side["paired_cli_self_s"]))
     return 0
 
 
