@@ -2,9 +2,9 @@
 
 The geodesic kernels are scalar loops, since their cost is per step.  The
 flow kernel is vectorized over the theta grid, or over its half up to the
-equator for reflection-symmetric data; a flow step is one LAPACK
-tridiagonal solve and about a dozen numpy calls, whose dispatch costs as
-much as their arithmetic at the grid sizes used.
+equator for reflection-symmetric data; a flow step (linearly implicit
+BDF3) is one LAPACK tridiagonal solve and about twenty numpy calls, whose
+dispatch costs as much as their arithmetic at the grid sizes used.
 
 Geodesics on an axisymmetric metric ds^2 + rho(s)^2 dphi^2 are integrated in
 the state (s, phi, psi) with psi the heading measured from the meridian
@@ -356,28 +356,31 @@ def flow_kernel(u, h, sin_t, cot_t, w, dt, n_steps, symmetrize):
     weights for the theta grid.  Modifies u in place and returns OK, or
     returns ERR_NAN with u unchanged if the state went non-finite.
 
-    The scheme is linearly implicit BDF2:
+    The scheme is linearly implicit BDF3:
 
-        (3u' - 4u + u_prev) / (2 dt) = 1 - a + a lap0 u',
-        a = e^{-2(2u - u_prev)},
+        (11u' - 18u + 9u_1 - 2u_2) / (6 dt) = 1 - a + a lap0 u',
+        a = e^{-2(3u - 3u_1 + u_2)},
 
-    with the coefficient a of the curvature extrapolated from the two
-    previous steps.  The constant 1 stands for Kbar, which Gauss-Bonnet
-    puts within the grid error of 1 at area 4 pi, so the renormalization, a
-    constant shift of u, only removes the discretization drift.  Multiplied
-    by 2 dt / a, a step is one tridiagonal solve (``dgtsv``):
+    with u_1 and u_2 the two states before u and the coefficient a of the
+    curvature extrapolated from the last three.  The constant 1 stands for
+    Kbar, which Gauss-Bonnet puts within the grid error of 1 at area 4 pi,
+    so the renormalization, a constant shift of u, only removes the
+    discretization drift.  Multiplied by 6 dt / a, a step is one
+    tridiagonal solve (``dgtsv``):
 
-        (3g - k lap0) u' = g (4u - u_prev + k) - k,    g = 1/a,  k = 2 dt.
+        (11g - k lap0) u' = g (18u - 9u_1 + 2u_2 + k) - k,  g = 1/a, k = 6 dt.
 
-    The matrix is a diagonally dominant M-matrix for every dt, so the step
-    has no stability bound.  The BDF1 step (u' - u)/dt = 1 - a + a lap0 u'
-    with a = e^{-2u} is the same formula with u_prev = u and k = 3 dt.
-    The first step is BDF1 extrapolated from one step of dt and two of
-    dt/2, with a local error of O(dt^3) like a BDF2 step: a plain BDF1
-    start adds an O(dt^2) error at every checkpoint, several times the rest
-    of the time error on the gong.  u is renormalized before that step, so
-    u_prev holds area 4 pi too.  g = (e^{2u})^2 / e^{2u_prev} reuses the
-    exp the area takes, so a step takes one exp.
+    The matrix is a diagonally dominant M-matrix for every dt, and
+    linearly implicit BDF methods up to order 5 are stable for quasilinear
+    parabolic equations (Akrivis & Lubich 2015), so the step has no
+    stability bound.  BDF1 and BDF2 are the same formula with other
+    coefficient rows (``_BDF1``, ``_BDF2``) and a = e^{-2u} and
+    e^{-2(2u - u_1)}.  Each call starts afresh: the first step is BDF1
+    extrapolated from one step of dt and two of dt/2, the second BDF2, so
+    both have a local error of O(dt^3); the rest are BDF3, and the time
+    error falls like dt^3.  u is renormalized before the first step, so
+    every state in the history holds area 4 pi.  g = e^3 e_2 / e_1^3, with
+    e = e^{2u}, reuses the exps the area takes, so a step takes one exp.
     With symmetrize nonzero (legal only for reflection-symmetric data) u is
     averaged with its mirror image once and only nodes 0 .. ceil(n/2) - 1
     are stepped, with folded weights and a mirror row at the equator; the
@@ -408,29 +411,39 @@ def flow_kernel(u, h, sin_t, cot_t, w, dt, n_steps, symmetrize):
         a[-1] = 0.0
     ab = a + b
 
-    def stencil(k):
-        # k, the sub- and super-diagonal of -k lap0, and k times its
-        # negated main diagonal
-        return k, -k * b[1:], -k * a[:-1], k * ab
+    def system(row, step):
+        # a coefficient row with its k = k_per_dt * step, and the sub- and
+        # super-diagonal of -k lap0 and k times its negated main diagonal
+        lead, beta, k_per_dt = row
+        k = k_per_dt * step
+        return lead, beta, k, -k * b[1:], -k * a[:-1], k * ab
 
-    bdf2 = stencil(2.0 * dt)
     # _NonFinite reports a blow-up, so numpy's warnings are muted
     with np.errstate(all="ignore"):
         try:
-            x_prev, e_prev = x, _renormalize(x, ws)
+            e = _renormalize(x, ws)
             if n_steps > 0:
                 # BDF1 extrapolated from one step of dt and two of dt/2
-                half = stencil(1.5 * dt)
-                x_full, _ = _bdf_step(x, x, e_prev, e_prev, ws,
-                                      stencil(3.0 * dt))
-                x_half, e_half = _bdf_step(x, x, e_prev, e_prev, ws, half)
-                x_half, _ = _bdf_step(x_half, x_half, e_half, e_half, ws,
-                                      half)
-                x = 2.0 * x_half - x_full
+                half = system(_BDF1, 0.5 * dt)
+                x_full, _ = _bdf_step((x,), e, ws, system(_BDF1, dt))
+                x_half, e_half = _bdf_step((x,), e, ws, half)
+                x_half, _ = _bdf_step((x_half,), e_half, ws, half)
+                x_1, e_1, x = x, e, 2.0 * x_half - x_full
                 e = _renormalize(x, ws)
-            for _ in range(n_steps - 1):
-                (x, e), x_prev, e_prev = (
-                    _bdf_step(x, x_prev, e, e_prev, ws, bdf2), x, e)
+            if n_steps > 1:
+                r_1 = e / e_1  # e / e_1 = e^{2(u - u_1)}
+                x_new, e_new = _bdf_step((x, x_1), e * r_1, ws,
+                                         system(_BDF2, dt))
+                x_2, x_1, x = x_1, x, x_new
+                r_2, r_1, e = r_1, e_new / e, e_new
+            bdf3 = system(_BDF3, dt)
+            for _ in range(n_steps - 2):
+                g = r_1 * r_1  # e^3 e_2 / e_1^3 = e (e / e_1)^2 (e_2 / e_1)
+                g /= r_2
+                g *= e
+                x_new, e_new = _bdf_step((x, x_1, x_2), g, ws, bdf3)
+                x_2, x_1, x = x_1, x, x_new
+                r_2, r_1, e = r_1, e_new / e, e_new
         except _NonFinite:
             return ERR_NAN
     u[:m] = x
@@ -443,20 +456,29 @@ class _NonFinite(Exception):
     """A flow step's solve failed or its state went non-finite."""
 
 
-def _bdf_step(x, x_prev, e, e_prev, ws, stencil):
+# linearly implicit BDF coefficient rows (lead, beta, k_per_dt): a step is
+# (lead g - k lap0) u' = g (sum_j beta_j u_j + k) - k with k = k_per_dt dt
+# and u_0, u_1, ... the current state and the ones before it
+_BDF1 = (1.0, (1.0,), 1.0)
+_BDF2 = (3.0, (4.0, -1.0), 2.0)
+_BDF3 = (11.0, (18.0, -9.0, 2.0), 6.0)
+
+
+def _bdf_step(xs, g, ws, system):
     """One linearly implicit step (see ``flow_kernel``), renormalized.
 
-    e and e_prev are e^{2x} and e^{2 x_prev}.  Returns x' and e^{2x'}.
+    xs holds the current state and the ones before it, one per beta of the
+    row in ``system``; g = 1/a, the extrapolated e^{2u'}.  Returns x' and
+    e^{2x'}.
     """
-    k, sub, sup, kab = stencil
-    g = e * e
-    g /= e_prev
-    rhs = 4.0 * x
-    rhs -= x_prev
+    lead, beta, k, sub, sup, kab = system
+    rhs = beta[0] * xs[0]
+    for coeff, x in zip(beta[1:], xs[1:]):
+        rhs += coeff * x
     rhs += k
     rhs *= g
     rhs -= k
-    diag = 3.0 * g
+    diag = lead * g
     diag += kab
     _, _, _, x_new, info = _dgtsv(sub, diag, sup, rhs,
                                   overwrite_d=1, overwrite_b=1)

@@ -120,15 +120,27 @@ class RunConfig:
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
+    def digest_payload(self):
+        """json.dumps(to_dict() without "out", sort_keys=True), formatted
+        directly: the hash identifies the computation, not the destination.
+        """
+        return DIGEST_FORMAT % (
+            self.T, self.checkpoint_every, ", ".join(map(str, self.coeffs)),
+            self.horizon, self.n_nodes, self.n_samples, self.surface,
+            "true" if self.sweep_checkpoints else "false")
+
     def digest(self):
-        d = self.to_dict()
-        d.pop("out")  # hash identifies the computation, not the destination
-        payload = json.dumps(d, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return hashlib.sha256(
+            self.digest_payload().encode()).hexdigest()[:16]
 
 
 CONFIG_FIELDS = dataclasses.fields(RunConfig)
 CONFIG_NAMES = frozenset(f.name for f in CONFIG_FIELDS)
+# the digest payload, fields in sorted order (str of an int or a float is
+# its JSON text; surface is one of SURFACES, so it needs no escaping)
+DIGEST_FORMAT = ('{"T": %s, "checkpoint_every": %s, "coeffs": [%s], '
+                 '"horizon": %s, "n_nodes": %s, "n_samples": %s, '
+                 '"surface": "%s", "sweep_checkpoints": %s}')
 
 
 def fmt_float(x):
@@ -244,19 +256,21 @@ def cmd_verify_zoll(config):
 def cmd_flow(config):
     lines = _header_lines(config)
     cols = "t,equator_length,max_abs_K_minus_1,area,K_bar"
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g"
     if config.sweep_checkpoints:
         cols += ",period_spread"
+        row += ",%.17g"
     lines.append(cols)
     c0 = build_conformal(config)
     states = ricci.evolve(ricci.make_state(c0), config.T,
                           checkpoint_every=config.checkpoint_every or None)
     for st in states:
-        row = [st.t, st.equator_length(), st.max_abs_k_minus_1, st.area,
-               st.k_bar]
+        values = (st.t, st.equator_length(), st.max_abs_k_minus_1, st.area,
+                  st.k_bar)
         if config.sweep_checkpoints:
             p = conformal_to_arclength(st.profile)
-            row.append(_sweep(config, p).spread)
-        lines.append(",".join(fmt_float(v) for v in row))
+            values += (_sweep(config, p).spread,)
+        lines.append(row % values)
     _emit(config, "\n".join(lines) + "\n")
     return EXIT_OK
 

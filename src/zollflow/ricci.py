@@ -6,10 +6,12 @@ dg/dt = -2 (K - Kbar) g becomes the scalar parabolic equation
     du/dt = Kbar - K,      K = e^{-2u} (1 - lap0 u),
 
 with lap0 the round Laplacian acting on axisymmetric functions.  ``evolve``
-steps it with a linearly implicit BDF2 scheme on the finite-difference
-grid, one tridiagonal solve per step (``_kernels.flow_kernel``).  It has no
-stability bound, so the step is DT_PER_H * h, and the step count grows like
-1/h instead of 1/h^2; the time error still falls like h^2.  ``flow_step``,
+steps it with a linearly implicit BDF3 scheme on the finite-difference
+grid, one tridiagonal solve per step (``_kernels.flow_kernel``; each
+checkpoint interval starts with an extrapolated BDF1 step and a BDF2
+step).  It has no stability bound, so the step is DT_PER_H * h, and the
+step count grows like 1/h instead of 1/h^2; the time error falls like
+dt^3, so like h^3.  ``flow_step``,
 one explicit Euler step under the diffusive bound dt <= factor * h^2 *
 min(e^{2u}), is the independent reference the kernel is tested against.
 Every step renormalizes the area back to 4 pi (the continuum flow preserves
@@ -32,10 +34,10 @@ from .errors import FlowInstabilityError
 from .profile import FOUR_PI, SYMMETRY_TOL, ConformalProfile, conformal_grid
 
 STABILITY_FACTOR = 0.4  # explicit step: factor * h^2 * min e^{2u}
-# evolve's BDF2 step: at most DT_PER_H * h, and at least MIN_STEPS steps
-# per checkpoint interval, so the time error falls like h^2 while the step
+# evolve's BDF3 step: at most DT_PER_H * h, and at least MIN_STEPS steps
+# per checkpoint interval, so the time error falls like h^3 while the step
 # count grows like 1/h
-DT_PER_H = 1.0 / 30.0
+DT_PER_H = 1.0 / 10.0
 MIN_STEPS = 16
 MAX_STEPS = 50_000_000  # flow steps per checkpoint interval
 # rounding floor of lprime_numeric's residuals, in ulps of l(0) over the
@@ -83,7 +85,7 @@ def stability_dt(profile):
             * float(np.exp(2.0 * profile.u).min()))
 
 
-def bdf2_dt(profile):
+def flow_dt(profile):
     """Longest step ``evolve`` takes on this profile's grid."""
     return DT_PER_H * profile.h
 
@@ -128,9 +130,11 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
     """Run the flow to horizon T, returning checkpoints plus the final state.
 
     Stepping between checkpoints happens in one ``flow_kernel`` call of
-    equal BDF2 steps, at most ``bdf2_dt`` long and at most dt_cap when that
-    is positive, and at least MIN_STEPS of them.  Deterministic for a fixed
-    grid and dt policy.  If the state goes non-finite, or one checkpoint
+    equal steps (BDF3 after a two-step start), at most ``flow_dt`` long and
+    at most dt_cap when that is positive, and at least MIN_STEPS of them.
+    The first state is the initial one renormalized to area 4 pi, the
+    state every step starts from.  Deterministic for a fixed grid and dt
+    policy.  If the state goes non-finite, or one checkpoint
     interval needs more than MAX_STEPS steps, the FlowInstabilityError
     carries the last checkpoint.
     """
@@ -140,10 +144,11 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
         checkpoint_every = T
     c = initial.profile.copy()
     sin_t, cot_t, w, symmetrize = _kernel_grid(c)
-    dt_max = bdf2_dt(c)
+    dt_max = flow_dt(c)
     if dt_cap > 0.0:
         dt_max = min(dt_max, dt_cap)
 
+    _kernels.flow_kernel(c.u, c.h, sin_t, cot_t, w, 0.0, 0, symmetrize)
     states = [make_state(c.copy(), initial.t)]
     t = initial.t
     t_end = initial.t + T
@@ -207,17 +212,13 @@ def lprime_numeric(initial, dt_list):
     dts = sorted(float(d) for d in dt_list)
     if not dts:
         raise ValueError("dt_list must be non-empty")
+    n_steps = max(MIN_STEPS, math.ceil(dts[-1] / flow_dt(initial.profile)))
+    runs = [evolve(initial, dt, dt_cap=dt / n_steps) for dt in dts]
     # l0 after the area renormalization every flow starts with, so that
     # the slopes measure the flow and not the grid's area error
-    c = initial.profile.copy()
-    sin_t, cot_t, w, symmetrize = _kernel_grid(c)
-    _kernels.flow_kernel(c.u, c.h, sin_t, cot_t, w, 0.0, 0, symmetrize)
-    l0 = TWO_PI * c.equator()[1]
-    n_steps = max(MIN_STEPS, math.ceil(dts[-1] / bdf2_dt(initial.profile)))
-    slopes = []
-    for dt in dts:
-        final = evolve(initial, dt, dt_cap=dt / n_steps)[-1]
-        slopes.append((final.equator_length() - l0) / dt)
+    l0 = runs[0][0].equator_length()
+    slopes = [(run[-1].equator_length() - l0) / dt
+              for run, dt in zip(runs, dts)]
 
     if len(dts) == 1:
         return LprimeResult(value=slopes[0], residual=abs(slopes[0]),

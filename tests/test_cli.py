@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zollflow import _accel, cli, geodesics
 from zollflow.errors import NumericalAbort
@@ -19,6 +21,31 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 def run(argv):
     return cli.main(argv)
+
+
+POSITIVE = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.integers(1, 10 ** 20))
+
+
+@st.composite
+def valid_configs(draw):
+    surface = draw(st.sampled_from(cli.SURFACES))
+    coeffs = ()
+    if surface == "michel":
+        # h = a x (1 - x^2) + b x^3 (1 - x^2), sup |h| < 1
+        a, b = draw(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)))
+        coeffs = (a, b - a, -b)
+    return cli.RunConfig(
+        surface=surface, coeffs=coeffs,
+        n_nodes=draw(st.integers(64, 10 ** 20)),
+        n_samples=draw(st.integers(2, 10 ** 20)),
+        horizon=draw(POSITIVE), T=draw(POSITIVE),
+        checkpoint_every=draw(st.one_of(
+            st.floats(min_value=0.0, allow_infinity=False),
+            st.integers(0, 10 ** 20))),
+        sweep_checkpoints=draw(st.booleans()),
+        out=draw(st.text())).validate()
 
 
 class TestConfig:
@@ -40,9 +67,16 @@ class TestConfig:
             cli.RunConfig(surface="michel", coeffs=(0.5, 0.5)).validate()
 
     def test_digest_stable(self):
-        a = cli.RunConfig().digest()
-        b = cli.RunConfig().digest()
-        assert a == b and len(a) == 16
+        assert cli.RunConfig().digest() == "631ed1b90dfc5541"
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=valid_configs())
+    def test_digest_payload_is_sorted_json(self, config):
+        # the formatted payload is the JSON of every field but out, keys
+        # sorted, so config hashes keep their values
+        fields = config.to_dict()
+        del fields["out"]
+        assert config.digest_payload() == json.dumps(fields, sort_keys=True)
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 """Normalized flow stepping, diagnostics, first variation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -111,7 +112,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n", [513, 1024])
     def test_automatic_dt_matches_flow_step(self, areanorm_p, n):
-        # the BDF2 kernel with its own dt rule against the explicit one-step
+        # the BDF3 kernel with its own dt rule against the explicit one-step
         # path, on the half grid
         st = zf.make_state(zf.to_conformal(areanorm_p, n_nodes=n))
         oracle, explicit_error = self._explicit_oracle(st)
@@ -154,24 +155,27 @@ class TestEvolve:
 
     @pytest.mark.parametrize("bump", [0.0, 0.05])
     @pytest.mark.parametrize("checkpoint_every", [None, 0.005])
-    def test_second_order_in_dt(self, bump, checkpoint_every):
+    def test_third_order_in_dt(self, bump, checkpoint_every):
         # halving the step through dt_cap cuts the error against a fine run
-        # about fourfold, on the half grid and on the full grid, and also
-        # when every checkpoint restarts the two-step scheme
+        # about eightfold, on the half grid and on the full grid, and also
+        # when every checkpoint restarts the multistep scheme.  The caps
+        # stay below interval / MIN_STEPS, which would otherwise bind both
         n = 513
+        T = 0.02
         c = cli.build_conformal(
             cli.RunConfig(surface="gong_normalized", n_nodes=n))
         c.u += bump * np.cos(np.linspace(0.0, np.pi, n))
         st = zf.make_state(c)
-        dt = ricci.bdf2_dt(c)
+        interval = checkpoint_every or T
+        dt = min(ricci.flow_dt(c), interval / (2 * ricci.MIN_STEPS))
 
         def run(dt_cap):
-            return zf.evolve(st, 0.02, checkpoint_every=checkpoint_every,
+            return zf.evolve(st, T, checkpoint_every=checkpoint_every,
                              dt_cap=dt_cap)[-1].profile.u
 
-        fine = run(dt / 32)
+        fine = run(dt / 16)
         err = [np.max(np.abs(run(cap) - fine)) for cap in (dt, dt / 2)]
-        assert err[0] / err[1] >= 3.5
+        assert err[0] / err[1] >= 7.0
 
     def test_round_fixed_point_long_run(self):
         # the round sphere stays at its discrete fixed point over a long run,
@@ -190,7 +194,8 @@ class TestEvolve:
 
     def test_step_budget_attaches_state_reached(self, monkeypatch, gong_conf):
         # an interval that needs more than MAX_STEPS steps is refused before
-        # it is stepped, with the state it starts from
+        # it is stepped, with the state it starts from: the input shifted
+        # to area 4 pi
         monkeypatch.setattr(ricci, "MAX_STEPS", 5)
         st = zf.make_state(gong_conf.copy())
         with pytest.raises(FlowInstabilityError) as exc:
@@ -198,7 +203,22 @@ class TestEvolve:
         reached = exc.value.state
         assert reached.t == 0.0
         assert np.all(np.isfinite(reached.profile.u))
-        np.testing.assert_array_equal(reached.profile.u, st.profile.u)
+        assert np.ptp(reached.profile.u - st.profile.u) < 1e-15
+        assert reached.area == pytest.approx(FOUR_PI, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_first_state_is_renormalized(self, n, gong_conf):
+        # the t = 0 state is the one the first step starts from, at area
+        # 4 pi like every later state: the round sphere, a fixed point of
+        # the flow, keeps its equator length to rounding from t = 0 on
+        st = zf.make_state(zf.ConformalProfile(u=np.zeros(n)))
+        assert abs(st.area - FOUR_PI) > 1e-11  # the grid's area error
+        states = zf.evolve(st, 0.1, checkpoint_every=0.025)
+        lengths = [s.equator_length() for s in states]
+        assert max(lengths) - min(lengths) <= 4.0 * math.ulp(2.0 * np.pi)
+        states += zf.evolve(zf.make_state(gong_conf.copy()), 1e-3)
+        for s in states:
+            assert s.area == pytest.approx(FOUR_PI, rel=1e-14)
 
     def test_nan_state_raises(self, gong_conf):
         c = gong_conf.copy()
