@@ -34,13 +34,8 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgtsv as _dgtsv
 
-# status codes shared by the kernels
-OK = 0
-ERR_POLE = 1          # rho <= 0 encountered with nonzero angular momentum
-ERR_MAX_STEPS = 2
-ERR_DT_UNDERFLOW = 3
-ERR_NAN = 4
-SECTION = 5           # the march stopped at its first return to the section
+from .errors import FlowInstabilityError, NumericalAbort
+
 
 def hermite_eval(x, h, values, derivs):
     """Cubic Hermite interpolation on a uniform grid starting at 0.
@@ -139,7 +134,8 @@ def hermite_vec_slope(x, h, values, derivs):
 
 
 class _PoleHit(Exception):
-    """A geodesic stage reached rho <= 0, where the pole chart breaks down."""
+    """A geodesic stage reached rho <= 0, where the pole chart breaks down;
+    unwinds a DP5 step to the one place that converts it."""
 
 
 def _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a):
@@ -247,15 +243,16 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
     """Integrate a geodesic for a fixed arc length, recording each step.
 
     h is a float and the grids are lists (``ProfileMetric.grid_lists``).
-    Returns (status, (tau, s, phi, psi, dt)), lists of floats: the states
+    Returns the record (tau, s, phi, psi, dt), lists of floats: the states
     at tau = 0 and after every accepted step, and the size of each accepted
     step (one fewer entry).  The last step is clamped to end exactly at
-    tau = length; on a failure the record stops at the last accepted step.
-    With a section, the march stops with status SECTION after the first
+    tau = length.  With a section, the march stops after the first
     accepted step that carries s from below section to section or above:
     the first return to that parallel is then the record's last step.
     An accepted step passes its last stage on as the next step's first; a
-    rejected one keeps its first stage.
+    rejected one keeps its first stage.  Raises NumericalAbort at a pole,
+    at a step below 1e-14 (tau + 1), or when max_steps attempts fall
+    short of tau = length.
     """
     s, phi, psi, length, tol = map(float, (s0, phi0, psi0, length, tol))
     tau = 0.0
@@ -266,8 +263,6 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
     dt_l = []
 
     dt = min(0.01, length)
-    dt_min = 1e-14 * (length + 1.0)
-    status = OK
     try:
         k1 = _geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a)
         for _ in range(max_steps):
@@ -279,29 +274,25 @@ def integrate_kernel(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0,
                 s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1)
             q = _err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5, es, ep, eq)
             if q <= 1.0:
-                if section is not None and s < section <= s5:
-                    status = SECTION
-                tau += dt
-                s = s5
-                phi = phi5
-                psi = psi5
-                k1 = k7
+                crossed = section is not None and s < section <= s5
+                tau, s, phi, psi, k1 = tau + dt, s5, phi5, psi5, k7
                 tau_l.append(tau)
                 s_l.append(s)
                 phi_l.append(phi)
                 psi_l.append(psi)
                 dt_l.append(dt)
-                if status == SECTION:
+                if crossed:
                     break
             dt = _next_dt(q, dt)
-            if dt < dt_min:
-                status = ERR_DT_UNDERFLOW
-                break
+            if dt < 1e-14 * (tau + 1.0):
+                raise NumericalAbort("step-size underflow near a pole")
+        else:
+            if tau < length:
+                raise NumericalAbort("step budget exhausted")
     except _PoleHit:
-        status = ERR_POLE
-    if status == OK and tau < length:
-        status = ERR_MAX_STEPS
-    return status, (tau_l, s_l, phi_l, psi_l, dt_l)
+        raise NumericalAbort(
+            "step hit rho <= 0 (pole chart breakdown)") from None
+    return tau_l, s_l, phi_l, psi_l, dt_l
 
 
 def section_crossing(h, rho_a, drho_a, d2rho_a, traj, i, s_section):
@@ -349,12 +340,12 @@ def curvature_grid(u, h, cot_t):
     return np.exp(-2.0 * u) * (1.0 - lap)
 
 
-def flow_kernel(u, h, sin_t, cot_t, w, dt, n_steps, symmetrize):
+def flow_kernel(u, grid, dt, n_steps):
     """Advance the normalized flow u_t = Kbar - K by n_steps steps of dt.
 
-    Each step renormalizes the area back to 4*pi.  ``w`` are quadrature
-    weights for the theta grid.  Modifies u in place and returns OK, or
-    returns ERR_NAN with u unchanged if the state went non-finite.
+    Each step renormalizes the area back to 4*pi.  ``grid`` is u's
+    ``ricci.flow_grid``.  Modifies u in place; raises FlowInstabilityError,
+    with u unchanged, if the state went non-finite.
 
     The scheme is linearly implicit BDF3:
 
@@ -381,35 +372,15 @@ def flow_kernel(u, h, sin_t, cot_t, w, dt, n_steps, symmetrize):
     error falls like dt^3.  u is renormalized before the first step, so
     every state in the history holds area 4 pi.  g = e^3 e_2 / e_1^3, with
     e = e^{2u}, reuses the exps the area takes, so a step takes one exp.
-    With symmetrize nonzero (legal only for reflection-symmetric data) u is
-    averaged with its mirror image once and only nodes 0 .. ceil(n/2) - 1
-    are stepped, with folded weights and a mirror row at the equator; the
-    mirror image is written back at the end.  With n_steps = 0 the kernel
-    only renormalizes (and, with symmetrize, symmetrizes) u.
+    On a half grid (m < n, legal only for reflection-symmetric data) u is
+    averaged with its mirror image once and only nodes 0 .. m - 1 are
+    stepped; the mirror image is written back at the end.  With
+    n_steps = 0 the kernel only renormalizes (and, on a half grid,
+    symmetrizes) u.
     """
     n = u.shape[0]
-    h2 = h * h
-    ws = w * sin_t
-    # lap0 u_i = a_i (u[i+1] - u[i]) + b_i (u[i-1] - u[i]); the pole rows
-    # are 2 u'' with a mirrored stencil
-    a = 1.0 / h2 + cot_t / (2.0 * h)
-    b = 1.0 / h2 - cot_t / (2.0 * h)
-    a[0], b[0] = 4.0 / h2, 0.0
-    a[-1], b[-1] = 0.0, 4.0 / h2
-    m = n
-    x = u.copy()
-    if symmetrize != 0:
-        m = (n + 1) // 2
-        x = 0.5 * (u[:m] + u[::-1][:m])
-        ws = ws[:m] + ws[::-1][:m]
-        if n % 2 == 1:
-            # the equator is its own mirror: u[m] = u[m-2], weight once
-            ws[-1] *= 0.5
-            b[m - 1] += a[m - 1]
-        # even n: u[m] = u[m-1], so the equator row keeps no a term
-        a, b = a[:m], b[:m]
-        a[-1] = 0.0
-    ab = a + b
+    m, ws, a, b, ab = grid
+    x = 0.5 * (u[:m] + u[::-1][:m]) if m < n else u.copy()
 
     def system(row, step):
         # a coefficient row with its k = k_per_dt * step, and the sub- and
@@ -418,42 +389,34 @@ def flow_kernel(u, h, sin_t, cot_t, w, dt, n_steps, symmetrize):
         k = k_per_dt * step
         return lead, beta, k, -k * b[1:], -k * a[:-1], k * ab
 
-    # _NonFinite reports a blow-up, so numpy's warnings are muted
+    # FlowInstabilityError reports a blow-up, so numpy's warnings are muted
     with np.errstate(all="ignore"):
-        try:
+        e = _renormalize(x, ws)
+        if n_steps > 0:
+            # BDF1 extrapolated from one step of dt and two of dt/2
+            half = system(_BDF1, 0.5 * dt)
+            x_full, _ = _bdf_step((x,), e, ws, system(_BDF1, dt))
+            x_half, e_half = _bdf_step((x,), e, ws, half)
+            x_half, _ = _bdf_step((x_half,), e_half, ws, half)
+            x_1, e_1, x = x, e, 2.0 * x_half - x_full
             e = _renormalize(x, ws)
-            if n_steps > 0:
-                # BDF1 extrapolated from one step of dt and two of dt/2
-                half = system(_BDF1, 0.5 * dt)
-                x_full, _ = _bdf_step((x,), e, ws, system(_BDF1, dt))
-                x_half, e_half = _bdf_step((x,), e, ws, half)
-                x_half, _ = _bdf_step((x_half,), e_half, ws, half)
-                x_1, e_1, x = x, e, 2.0 * x_half - x_full
-                e = _renormalize(x, ws)
-            if n_steps > 1:
-                r_1 = e / e_1  # e / e_1 = e^{2(u - u_1)}
-                x_new, e_new = _bdf_step((x, x_1), e * r_1, ws,
-                                         system(_BDF2, dt))
-                x_2, x_1, x = x_1, x, x_new
-                r_2, r_1, e = r_1, e_new / e, e_new
-            bdf3 = system(_BDF3, dt)
-            for _ in range(n_steps - 2):
-                g = r_1 * r_1  # e^3 e_2 / e_1^3 = e (e / e_1)^2 (e_2 / e_1)
-                g /= r_2
-                g *= e
-                x_new, e_new = _bdf_step((x, x_1, x_2), g, ws, bdf3)
-                x_2, x_1, x = x_1, x, x_new
-                r_2, r_1, e = r_1, e_new / e, e_new
-        except _NonFinite:
-            return ERR_NAN
+        if n_steps > 1:
+            r_1 = e / e_1  # e / e_1 = e^{2(u - u_1)}
+            x_new, e_new = _bdf_step((x, x_1), e * r_1, ws,
+                                     system(_BDF2, dt))
+            x_2, x_1, x = x_1, x, x_new
+            r_2, r_1, e = r_1, e_new / e, e_new
+        bdf3 = system(_BDF3, dt)
+        for _ in range(n_steps - 2):
+            g = r_1 * r_1  # e^3 e_2 / e_1^3 = e (e / e_1)^2 (e_2 / e_1)
+            g /= r_2
+            g *= e
+            x_new, e_new = _bdf_step((x, x_1, x_2), g, ws, bdf3)
+            x_2, x_1, x = x_1, x, x_new
+            r_2, r_1, e = r_1, e_new / e, e_new
     u[:m] = x
     if m < n:
         u[n - m:] = u[m - 1::-1]
-    return OK
-
-
-class _NonFinite(Exception):
-    """A flow step's solve failed or its state went non-finite."""
 
 
 # linearly implicit BDF coefficient rows (lead, beta, k_per_dt): a step is
@@ -483,7 +446,7 @@ def _bdf_step(xs, g, ws, system):
     _, _, _, x_new, info = _dgtsv(sub, diag, sup, rhs,
                                   overwrite_d=1, overwrite_b=1)
     if info != 0:
-        raise _NonFinite
+        raise FlowInstabilityError("flow solve failed")
     return x_new, _renormalize(x_new, ws)
 
 
@@ -494,7 +457,7 @@ def _renormalize(x, ws):
     den = float(np.dot(ws, e))  # area/(4 pi) = den/2
     # a NaN or inf anywhere in x reaches den (0 * NaN is NaN)
     if not (math.isfinite(den) and den > 0.0):
-        raise _NonFinite
+        raise FlowInstabilityError("flow state went non-finite")
     x -= 0.5 * math.log(0.5 * den)
     e *= 2.0 / den
     return e

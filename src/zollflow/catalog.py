@@ -87,6 +87,9 @@ class OddFunction:
         sup = np.max(np.abs(self(np.linspace(-1.0, 1.0, 4097))))
         # refine with the critical points of the polynomial
         dcoeffs = self._poly_deriv_coeffs()
+        # a coefficient below the rounding of the largest moves no root in
+        # [-1, 1], and np.roots overflows dividing by a tiny leading one
+        dcoeffs[np.abs(dcoeffs) <= 1e-16 * np.abs(dcoeffs).max()] = 0.0
         roots = np.roots(dcoeffs) if len(dcoeffs) > 1 else np.array([])
         for rt in roots:
             if abs(rt.imag) < 1e-12 and -1.0 <= rt.real <= 1.0:

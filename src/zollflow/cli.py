@@ -96,6 +96,10 @@ class RunConfig:
                 raise ConfigError(f"{name}: must be positive")
         if self.checkpoint_every < 0.0:
             raise ConfigError("checkpoint_every: must be non-negative")
+        if self.out:
+            d = os.path.dirname(os.path.abspath(self.out))
+            if not os.path.isdir(d):
+                raise ConfigError(f"out: directory {d!r} does not exist")
         return self
 
     def to_dict(self):
@@ -310,7 +314,8 @@ def cmd_weinstein(config):
 
 def cmd_lprime(config):
     p = build_profile(config)
-    analytic = ricci.lprime_analytic(p)
+    # on the area-4 pi surface that the flow runs on (l'(0) ~ 1/lambda)
+    analytic = ricci.lprime_analytic(p) * math.sqrt(p.area() / FOUR_PI)
 
     res = ricci.lprime_numeric(ricci.make_state(build_conformal(config)),
                                DEFAULT_LPRIME_DTS)
@@ -473,6 +478,9 @@ def main(argv=None):
     except (NoClosureError, NumericalAbort, QuadratureError) as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -82,20 +82,14 @@ class PeriodReport:
         return [(e.clairaut_c, e.period, e.closure_error) for e in self.entries]
 
 
-def _raise_for_status(status, context):
-    if status == _kernels.ERR_POLE:
-        raise NumericalAbort(
-            f"{context}: step hit rho <= 0 (pole chart breakdown)")
-    if status == _kernels.ERR_DT_UNDERFLOW:
-        raise NumericalAbort(f"{context}: step-size underflow near a pole")
-    if status == _kernels.ERR_MAX_STEPS:
-        raise NumericalAbort(f"{context}: step budget exhausted")
-
-
-def _march(p, init, length, tol, section=None):
-    return _kernels.integrate_kernel(
-        *p.grid_lists(), init.s, init.phi, init.psi, length, tol, MAX_STEPS,
-        section)
+def _march(p, init, length, tol, context, section=None):
+    """``integrate_kernel``'s record from init, aborts prefixed by context."""
+    try:
+        return _kernels.integrate_kernel(
+            *p.grid_lists(), init.s, init.phi, init.psi, length, tol,
+            MAX_STEPS, section)
+    except NumericalAbort as e:
+        raise NumericalAbort(f"{context}: {e}") from None
 
 
 def integrate(p, init, length, tol=DEFAULT_TOL):
@@ -106,8 +100,7 @@ def integrate(p, init, length, tol=DEFAULT_TOL):
     """
     if p.rho(init.s) <= 0.0:
         raise ValueError("initial point must lie off the poles")
-    status, (tau, s, phi, psi, _dt) = _march(p, init, length, tol)
-    _raise_for_status(status, "integrate")
+    tau, s, phi, psi, _dt = _march(p, init, length, tol, "integrate")
     return [GeodesicState(s=s[i], phi=phi[i], psi=psi[i], tau=tau[i])
             for i in range(len(tau))]
 
@@ -142,9 +135,10 @@ def find_period(p, init, horizon=DEFAULT_HORIZON):
     if np.cos(init.psi) <= 1e-12:
         raise ValueError("initial heading must have ds/dtau > 0 off the "
                          "equator; use the closed-form equator period instead")
-    status, traj = _march(p, init, horizon, DEFAULT_TOL, section=init.s)
-    if status != _kernels.SECTION:
-        _raise_for_status(status, "find_period")
+    traj = _march(p, init, horizon, DEFAULT_TOL, "find_period", init.s)
+    s = traj[1]
+    # the march stops at the first return, or at the horizon without one
+    if not (len(s) > 1 and s[-2] < init.s <= s[-1]):
         raise NoClosureError(f"no section return within horizon {horizon}")
     args = p.grid_lists()
     tau1, s1, phi1, psi1 = _kernels.section_crossing(

@@ -24,6 +24,8 @@ and its first variation l'(0) = -l0 (K_eq - Kbar) are the quantities the
 rest of the package cares about.
 """
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,11 +121,39 @@ def flow_step(state, dt):
     return make_state(c, state.t + dt)
 
 
-def _kernel_grid(profile):
-    """flow_kernel's sin_t, cot_t, w and symmetrize for this profile, its
-    symmetry measured against SYMMETRY_TOL."""
-    sin_t, cot_t, w = conformal_grid(profile.n_nodes)
-    return sin_t, cot_t, w, int(profile.symmetry_defect() < SYMMETRY_TOL)
+FlowGrid = collections.namedtuple("FlowGrid", "m ws a b ab")
+
+
+@functools.lru_cache(maxsize=None)
+def flow_grid(n_nodes, symmetric):
+    """``flow_kernel``'s read-only grid, built once per grid like
+    ``conformal_grid``: the m nodes it steps (the half grid 0 ..
+    ceil(n/2) - 1 when symmetric), their area weights ws = w sin(theta),
+    folded onto the half grid, and the stencil lap0 u_i = a_i (u[i+1] -
+    u[i]) + b_i (u[i-1] - u[i]), with ab = a + b.  The pole rows are 2 u''
+    mirrored; the half grid's equator row mirrors u[m] = u[m-2] for odd
+    n_nodes (weighing that node once) and u[m] = u[m-1] for even."""
+    sin_t, cot_t, w = conformal_grid(n_nodes)
+    h = np.pi / (n_nodes - 1)
+    h2 = h * h
+    ws = w * sin_t
+    a = 1.0 / h2 + cot_t / (2.0 * h)
+    b = 1.0 / h2 - cot_t / (2.0 * h)
+    a[0], b[0] = 4.0 / h2, 0.0
+    a[-1], b[-1] = 0.0, 4.0 / h2
+    m = n_nodes
+    if symmetric:
+        m = (n_nodes + 1) // 2
+        ws = ws[:m] + ws[::-1][:m]
+        if n_nodes % 2 == 1:
+            ws[-1] *= 0.5
+            b[m - 1] += a[m - 1]
+        a, b = a[:m], b[:m]
+        a[-1] = 0.0
+    grid = FlowGrid(m, ws, a, b, a + b)
+    for x in grid[1:]:
+        x.flags.writeable = False
+    return grid
 
 
 def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
@@ -136,19 +166,19 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
     state every step starts from.  Deterministic for a fixed grid and dt
     policy.  If the state goes non-finite, or one checkpoint
     interval needs more than MAX_STEPS steps, the FlowInstabilityError
-    carries the last checkpoint.
+    carries the last checkpoint (none for a non-finite initial state).
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
     if checkpoint_every is None or checkpoint_every <= 0.0:
         checkpoint_every = T
     c = initial.profile.copy()
-    sin_t, cot_t, w, symmetrize = _kernel_grid(c)
+    grid = flow_grid(c.n_nodes, c.symmetry_defect() < SYMMETRY_TOL)
     dt_max = flow_dt(c)
     if dt_cap > 0.0:
         dt_max = min(dt_max, dt_cap)
 
-    _kernels.flow_kernel(c.u, c.h, sin_t, cot_t, w, 0.0, 0, symmetrize)
+    _kernels.flow_kernel(c.u, grid, 0.0, 0)
     states = [make_state(c.copy(), initial.t)]
     t = initial.t
     t_end = initial.t + T
@@ -160,13 +190,12 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
             raise FlowInstabilityError(
                 f"flow step budget exhausted: {n_steps} steps to "
                 f"t = {target:g}", state=states[-1])
-        status = _kernels.flow_kernel(c.u, c.h, sin_t, cot_t, w,
-                                      (target - t) / n_steps, n_steps,
-                                      symmetrize)
-        if status == _kernels.ERR_NAN:
+        try:
+            _kernels.flow_kernel(c.u, grid, (target - t) / n_steps, n_steps)
+        except FlowInstabilityError:
             raise FlowInstabilityError(
                 f"flow state went non-finite by t = {target:g}",
-                state=states[-1])
+                state=states[-1]) from None
         t = target
         states.append(make_state(c.copy(), t))
     return states

@@ -45,7 +45,8 @@ def valid_configs(draw):
             st.floats(min_value=0.0, allow_infinity=False),
             st.integers(0, 10 ** 20))),
         sweep_checkpoints=draw(st.booleans()),
-        out=draw(st.text())).validate()
+        # a name in the working directory, which exists
+        out=draw(st.text().filter(lambda t: "/" not in t))).validate()
 
 
 class TestConfig:
@@ -121,6 +122,28 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+    def test_out_in_missing_directory_is_config_error(self, tmp_path,
+                                                      capsys):
+        # refused before any computation, so nothing is written
+        out = tmp_path / "missing" / "x.json"
+        assert run(["describe", "--surface", "round", "--nodes", "64",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: out: directory "
+                       f"{str(out.parent)!r} does not exist\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_is_one_line_error(self, tmp_path, capsys):
+        # a directory where the report should go: the write fails after
+        # the computation, with one line and exit 1, and leaves no file
+        out = tmp_path / "report.json"
+        out.mkdir()
+        assert run(["describe", "--surface", "round", "--nodes", "64",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert [q.name for q in tmp_path.iterdir()] == ["report.json"]
 
     def test_michel_flow(self, tmp_path, capsys):
         # a nonzero odd function gives a gauge with no reflection
@@ -283,6 +306,21 @@ class TestOutputs:
         d = json.loads(out.read_text())
         assert abs(d["numeric"]) < 1e-12
         assert d["flagged"] is False
+
+    def test_lprime_gongs_report_one_surface(self, tmp_path):
+        # both gongs flow as the one area-4 pi gong, and analytic is taken
+        # on that surface too, by the scale law l'(0) ~ 1/lambda
+        reports = []
+        for surface in ("gong_raw", "gong_normalized"):
+            out = tmp_path / f"{surface}.json"
+            assert run(["lprime", "--surface", surface, "--nodes", "512",
+                        "--samples", "4", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        raw, normalized = reports
+        assert raw["analytic"] == pytest.approx(normalized["analytic"],
+                                                rel=1e-9)
+        for d in reports:
+            assert d["analytic"] == pytest.approx(d["numeric"], abs=1e-3)
 
     def test_michel_odd_function_built_once(self, tmp_path, monkeypatch):
         from zollflow import catalog

@@ -75,6 +75,15 @@ class TestFindPeriod:
         with pytest.raises(NumericalAbort, match="step budget"):
             zf.find_period(round_p, init)
 
+    @pytest.mark.parametrize("horizon", [1e13, 1e300])
+    def test_far_horizon_finds_first_return(self, round_p, horizon):
+        # the march stops at the first return, near 2 pi, so the step-size
+        # floor is taken at the arc length reached, not at the horizon
+        init = zf.GeodesicState(s=np.pi / 2, phi=0.0, psi=0.3)
+        e = zf.find_period(round_p, init, horizon=horizon)
+        assert e.converged
+        assert e.period == zf.find_period(round_p, init).period
+
     def test_nonclosing_reported_unconverged(self, gongn_p):
         s_eq, rho_max = gongn_p.equator()
         init = zf.GeodesicState(s=s_eq, phi=0.0,
@@ -87,26 +96,25 @@ class TestFindPeriod:
 def plain_march(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0, length, tol,
                 max_steps, section=None):
     """Oracle for ``integrate_kernel``: the same adaptive DP5 march, with
-    the first stage recomputed on every attempt.  Also returns the number
-    of rejected attempts."""
+    the first stage recomputed on every attempt.  Returns the record and
+    the number of rejected attempts; raises NumericalAbort as the kernel
+    does."""
     s, phi, psi = s0, phi0, psi0
     tau = 0.0
     record = ([tau], [s], [phi], [psi], [])
     dt = min(0.01, length)
-    dt_min = 1e-14 * (length + 1.0)
-    status = _kernels.OK
     rejected = 0
     for _ in range(max_steps):
         if tau >= length:
-            break
+            return record, rejected
         dt = min(dt, length - tau)
         try:
             k1 = _kernels._geo_rhs(s, psi, h, rho_a, drho_a, d2rho_a)
             s5, phi5, psi5, es, ep, eq, _k7 = _kernels._dp_step(
                 s, phi, psi, dt, h, rho_a, drho_a, d2rho_a, k1)
         except _kernels._PoleHit:
-            status = _kernels.ERR_POLE
-            break
+            raise NumericalAbort(
+                "step hit rho <= 0 (pole chart breakdown)") from None
         q = _kernels._err_ratio(tol, dt, s, phi, psi, s5, phi5, psi5,
                                 es, ep, eq)
         if q <= 1.0:
@@ -115,17 +123,15 @@ def plain_march(h, rho_a, drho_a, d2rho_a, s0, phi0, psi0, length, tol,
             for column, x in zip(record, (tau, s, phi, psi, dt)):
                 column.append(x)
             if crossed:
-                status = _kernels.SECTION
-                break
+                return record, rejected
         else:
             rejected += 1
         dt = _kernels._next_dt(q, dt)
-        if dt < dt_min:
-            status = _kernels.ERR_DT_UNDERFLOW
-            break
-    if status == _kernels.OK and tau < length:
-        status = _kernels.ERR_MAX_STEPS
-    return status, record, rejected
+        if dt < 1e-14 * (tau + 1.0):
+            raise NumericalAbort("step-size underflow near a pole")
+    if tau < length:
+        raise NumericalAbort("step budget exhausted")
+    return record, rejected
 
 
 def bisected_crossing(h, rho_a, drho_a, d2rho_a, traj, i, s_section):
@@ -185,9 +191,8 @@ class TestMarchOracles:
                                              (None, 2.0, 1e-13)):
                     march = (*args, init.s, init.phi, init.psi, length, tol,
                              geodesics.MAX_STEPS, section)
-                    status, traj = _kernels.integrate_kernel(*march)
-                    want, record, n_rej = plain_march(*march)
-                    assert status == want
+                    traj = _kernels.integrate_kernel(*march)
+                    record, n_rej = plain_march(*march)
                     assert traj == record  # bitwise: tau, s, phi, psi, dt
                     rejected += n_rej
         assert rejected > 0  # some marches retried a step
@@ -195,12 +200,26 @@ class TestMarchOracles:
     def test_failed_march_matches_plain_loop(self, round_p):
         args = round_p.grid_lists()
         # a step budget that runs out, and a start on the pole
-        for init, max_steps in (((1.0, 0.0, 0.3), 7), ((0.0, 0.0, 0.3), 10)):
+        for init, max_steps, message in (
+                ((1.0, 0.0, 0.3), 7, "step budget exhausted"),
+                ((0.0, 0.0, 0.3), 10,
+                 "step hit rho <= 0 (pole chart breakdown)")):
             march = (*args, *init, 4.0, 1e-10, max_steps)
-            status, traj = _kernels.integrate_kernel(*march)
-            want, record, _ = plain_march(*march)
-            assert status == want != _kernels.OK
-            assert traj == record
+            for loop in (_kernels.integrate_kernel, plain_march):
+                with pytest.raises(NumericalAbort) as exc:
+                    loop(*march)
+                assert str(exc.value) == message
+
+    def test_underflow_matches_plain_loop(self, round_p, monkeypatch):
+        # a controller that shrinks every step tenfold reaches the floor
+        # 1e-14 (tau + 1) in a dozen steps, in both loops
+        monkeypatch.setattr(_kernels, "_next_dt", lambda q, dt: 0.1 * dt)
+        march = (*round_p.grid_lists(), 1.0, 0.0, 0.3, 4.0, 1e-10,
+                 geodesics.MAX_STEPS)
+        for loop in (_kernels.integrate_kernel, plain_march):
+            with pytest.raises(NumericalAbort,
+                               match="^step-size underflow near a pole$"):
+                loop(*march)
 
     def test_attempt_evaluates_six_stages(self, gongn_p, monkeypatch):
         calls = []
@@ -229,10 +248,9 @@ class TestMarchOracles:
         for p in catalog_profiles:
             args = p.grid_lists()
             for init in starts(p):
-                status, traj = _kernels.integrate_kernel(
+                traj = _kernels.integrate_kernel(
                     *args, init.s, init.phi, init.psi, 3 * TWO_PI,
                     geodesics.DEFAULT_TOL, geodesics.MAX_STEPS)
-                assert status == _kernels.OK
                 s = np.array(traj[1])
                 steps = np.flatnonzero((s[:-1] < init.s) & (s[1:] >= init.s))
                 assert len(steps) >= 2
@@ -258,11 +276,11 @@ class TestMarchOracles:
             return rhs(s, psi, *grid)
 
         for init in starts(gongn_p):
-            status, traj = _kernels.integrate_kernel(
+            traj = _kernels.integrate_kernel(
                 *args, init.s, init.phi, init.psi, TWO_PI,
                 geodesics.DEFAULT_TOL, geodesics.MAX_STEPS, init.s)
-            assert status == _kernels.SECTION
             i = len(traj[0]) - 2
+            assert traj[1][i] < init.s <= traj[1][i + 1]
             s_bar.append(init.s + 1e-3 * (traj[1][i + 1] - init.s))
             with monkeypatch.context() as m:
                 m.setattr(_kernels, "_geo_rhs", chart)
@@ -347,10 +365,9 @@ class TestGridLists:
 def full_horizon_returns(p, init, horizon, tol=geodesics.DEFAULT_TOL):
     """Oracle that does not use the rotation symmetry: march the whole
     horizon and refine every upward crossing of the starting parallel."""
-    status, traj = _kernels.integrate_kernel(
+    traj = _kernels.integrate_kernel(
         *p.grid_lists(), init.s, init.phi, init.psi, horizon, tol,
         geodesics.MAX_STEPS)
-    assert status == _kernels.OK
     s = np.array(traj[1])
     steps = np.flatnonzero((s[:-1] < init.s) & (s[1:] >= init.s))
     return [_kernels.section_crossing(*p.grid_lists(), traj, int(i),
@@ -360,9 +377,9 @@ def full_horizon_returns(p, init, horizon, tol=geodesics.DEFAULT_TOL):
 
 def first_return(p, init, horizon):
     """The first return as find_period computes it: (tau, s, phi, psi)."""
-    status, traj = geodesics._march(p, init, horizon, geodesics.DEFAULT_TOL,
-                                    section=init.s)
-    assert status == _kernels.SECTION
+    traj = geodesics._march(p, init, horizon, geodesics.DEFAULT_TOL,
+                            "find_period", section=init.s)
+    assert traj[1][-2] < init.s <= traj[1][-1]
     return _kernels.section_crossing(*p.grid_lists(), traj,
                                      len(traj[0]) - 2, init.s)
 
@@ -402,9 +419,9 @@ class TestFirstReturn:
         kernel = _kernels.integrate_kernel
 
         def spy(*args, **kwargs):
-            status, traj = kernel(*args, **kwargs)
+            traj = kernel(*args, **kwargs)
             ends.append(traj[0][-1])
-            return status, traj
+            return traj
 
         monkeypatch.setattr(_kernels, "integrate_kernel", spy)
         zf.find_period(p, init)

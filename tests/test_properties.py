@@ -54,6 +54,27 @@ def test_scale_covariance(lam, z):
         k / lam**2, rel=1e-10)
 
 
+SCALE_LAW_MERIDIANS = {"round": zf.round_sphere, "gong_raw": zf.gong_raw,
+                       "gong_normalized": zf.gong_normalized}
+
+
+@pytest.fixture(scope="module")
+def lprime_at_unit_scale():
+    return {name: zf.lprime_analytic(zf.to_arclength(m(), n_nodes=1025))
+            for name, m in SCALE_LAW_MERIDIANS.items()}
+
+
+@settings(**COMMON)
+@given(name=st.sampled_from(sorted(SCALE_LAW_MERIDIANS)),
+       lam=st.floats(0.3, 3.0))
+def test_lprime_scale_law(lprime_at_unit_scale, name, lam):
+    # l'(0) = -l0 (K_eq - Kbar) scales like 1/lambda under a homothety
+    p = zf.to_arclength(zf.scale(SCALE_LAW_MERIDIANS[name](), lam),
+                        n_nodes=1025)
+    assert zf.lprime_analytic(p) * lam == pytest.approx(
+        lprime_at_unit_scale[name], abs=1e-10)
+
+
 @st.composite
 def odd_functions(draw):
     k = draw(st.integers(1, 3))

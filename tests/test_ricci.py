@@ -268,6 +268,41 @@ class TestEvolve:
             zf.evolve(zf.make_state(gong_conf.copy()), -1.0)
 
 
+class TestFlowGrid:
+    @pytest.mark.parametrize("n, half", [(512, 256), (513, 257)])
+    def test_one_read_only_grid_per_size(self, n, half):
+        for symmetric, m in ((True, half), (False, n)):
+            grid = ricci.flow_grid(n, symmetric)
+            assert ricci.flow_grid(n, symmetric) is grid
+            assert grid.m == m
+            for x in (grid.ws, grid.a, grid.b, grid.ab):
+                assert x.shape == (m,) and not x.flags.writeable
+            assert np.array_equal(grid.ab, grid.a + grid.b)
+        # the folded weights carry the whole grid's area
+        sin_t, _cot_t, w = zf.profile.conformal_grid(n)
+        assert ricci.flow_grid(n, True).ws.sum() == pytest.approx(
+            float(w @ sin_t), rel=1e-15)
+
+    def test_evolve_builds_no_grid(self, gong_conf):
+        st = zf.make_state(gong_conf.copy())
+        zf.evolve(st, 1e-3)
+        before = ricci.flow_grid.cache_info()
+        zf.evolve(st, 1e-3, checkpoint_every=5e-4)
+        after = ricci.flow_grid.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1
+
+    def test_kernel_raises_with_u_unchanged(self, gong_conf):
+        u = gong_conf.u.copy()
+        u[100] = np.nan
+        for symmetric in (True, False):
+            v = u.copy()
+            with pytest.raises(FlowInstabilityError):
+                _kernels.flow_kernel(v, ricci.flow_grid(len(u), symmetric),
+                                     1e-4, 3)
+            assert np.array_equal(v, u, equal_nan=True)
+
+
 class TestLprime:
     def test_round_is_zero(self, round_p):
         assert zf.lprime_analytic(round_p) == pytest.approx(0.0, abs=1e-6)
@@ -311,9 +346,8 @@ class TestLprime:
 
     def test_kernel_without_steps_only_renormalizes(self, gong_conf):
         u = gong_conf.u.copy()
-        sin_t, cot_t, w = zf.profile.conformal_grid(len(u))
-        assert _kernels.flow_kernel(u, gong_conf.h, sin_t, cot_t, w, 0.0, 0,
-                                    1) == _kernels.OK
+        sin_t, _cot_t, w = zf.profile.conformal_grid(len(u))
+        _kernels.flow_kernel(u, ricci.flow_grid(len(u), True), 0.0, 0)
         shift = u - gong_conf.u
         assert np.ptp(shift) < 1e-15
         area = 2.0 * np.pi * float(w @ (np.exp(2.0 * u) * sin_t))
