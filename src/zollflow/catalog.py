@@ -113,6 +113,15 @@ class OddFunction:
         return _horner([(2 * k + 1) * ak
                         for k, ak in enumerate(self.coefficients)], x * x)
 
+    def conformal_samples(self, chi):
+        """(r, ds/dchi, r at any chi) of the ``michel_surface`` metric on
+        the chi grid from pole to pole, at psi = chi + pi/2, in closed form
+        for ``profile.to_conformal``: r = sin psi = cos chi and
+        ds/dchi = 1 + h(cos psi) = 1 + h(-sin chi)."""
+        r = np.cos(chi)
+        r[0] = r[-1] = 0.0
+        return r, 1.0 + self(-np.sin(chi)), np.cos
+
 
 def _horner(coeffs, y):
     """sum c_k y^k by Horner's rule, in place on one array."""

@@ -194,18 +194,15 @@ def build_conformal(config):
     """Conformal profile for the flow: area-normalized to 4 pi first.
 
     A catalog meridian goes to ``to_conformal`` as it is, a Michel surface
-    as its arc-length profile.  ``to_conformal`` needs no reflection
-    symmetry, so a Michel surface with a nonzero odd function flows too.
+    as its odd function (area 4 pi already).  ``to_conformal`` needs no
+    reflection symmetry, so a Michel surface with a nonzero odd function
+    flows too.
     """
     if config.surface == "round":
         return ConformalProfile(u=np.zeros(config.n_nodes))
     meridian = MERIDIANS[config.surface]
-    if meridian is None:
-        # area 4 pi already
-        surface = catalog.michel_surface(config.odd_function,
-                                         n_nodes=4 * config.n_nodes + 1)
-    else:
-        surface = normalize_to_volume(meridian())
+    surface = (config.odd_function if meridian is None
+               else normalize_to_volume(meridian()))
     return to_conformal(surface, n_nodes=config.n_nodes)
 
 

@@ -41,8 +41,10 @@ QUAD_EPSABS = 1e-10  # absolute scale of the error estimate accepted
 SYMMETRY_TOL = 1e-10
 # cap on the regula falsi steps of grid_equator before it bisects
 EQUATOR_ILLINOIS_STEPS = 30
-# chi samples per theta node behind a meridian's conformal gauge
+# chi samples per theta node of a meridian's or an odd function's gauge
 MERIDIAN_SAMPLES = 4
+# fewest theta nodes: the pole fit reads three interior nodes per pole
+MIN_CONFORMAL_NODES = 5
 # |w| bound of the isothermal inversion in the Mercator variable w: roots
 # closer to a pole than about e^-|w| of the domain are not resolved
 MERCATOR_GUARD = math.log(1e12)
@@ -520,59 +522,66 @@ def conformal_curvature(c):
     return _kernels.curvature_grid(np.asarray(c.u, dtype=float), c.h, cot_t)
 
 
-def _isothermal_remainder(p):
-    """(G, G_mid): the not-a-knot ``Spline`` of the bounded part of 1/rho
-    on the s-grid, and its integral half way, at s = S/2.
+def _chi_grid(n_samples):
+    """n_samples points from -pi/2 to pi/2, odd in chi bitwise."""
+    chi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_samples)
+    return 0.5 * (chi - chi[::-1])
 
-    The isothermal coordinate is t(s) = ln(s/(S - s)) + G.integral(s) -
-    G_mid: the 1/s and 1/(S-s) singularities are split off and integrated
-    in closed form.
-    """
+
+def _profile_samples(p):
+    """(chi, rho, ds/dchi, rho at any chi) of a profile on its own nodes,
+    at chi = pi s/S - pi/2, so ds/dchi = S/pi."""
     S = p.total_length
-    s = p.s_grid
-    rho = p.rho_grid
-    f = np.empty_like(s)
-    half = len(s) // 2
-    with np.errstate(all="ignore"):
-        f[:half] = (s[:half] - rho[:half]) / (rho[:half] * s[:half]) \
-            - 1.0 / (S - s[:half])
-        f[half:] = ((S - s[half:]) - rho[half:]) / (rho[half:] * (S - s[half:])) \
-            - 1.0 / s[half:]
-    f[0] = f[-1] = -1.0 / S
-    G = Spline(s, f)
-    return G, float(G.integral(0.5 * S))
+    return (_chi_grid(p.n_nodes), p.rho_grid, np.full(p.n_nodes, S / np.pi),
+            lambda x: p.rho((x + 0.5 * np.pi) * (S / np.pi)))
+
+
+def _isothermal_remainder(chi, r, speed):
+    """(R, R_0): the not-a-knot ``Spline`` of the bounded part
+    (ds/dchi)/r - 1/cos(chi) of dt/dchi on the chi grid, its end values
+    (0/0) extrapolated, and its integral R_0 at chi = 0.  The isothermal
+    coordinate t = integral ds/r, zero at chi = 0, is w + R(chi) - R_0,
+    where w = artanh(sin chi) is the round sphere's Mercator coordinate."""
+    f = np.empty(len(chi))
+    f[1:-1] = speed[1:-1] / r[1:-1] - 1.0 / np.cos(chi[1:-1])
+    _extrapolate_ends(f)
+    rem = Spline(chi, f)
+    return rem, float(rem.integral(0.0))
 
 
 def _log_isothermal(p):
-    """Isothermal coordinate t(s) = integral ds/rho anchored at s = S/2,
-    as a callable t(s, cells=None) valid on (0, S); cells, the points' cell
-    indices on the s-grid if the caller knows them, skips the search."""
+    """Isothermal coordinate t(s) = integral ds/rho of a profile, zero at
+    s = S/2, as a callable on (0, S): ``_isothermal_remainder`` at
+    chi = pi s/S - pi/2, where w = ln tan(pi s/2S)."""
     S = p.total_length
-    G, G_mid = _isothermal_remainder(p)
+    rem, anchor = _isothermal_remainder(*_profile_samples(p)[:3])
 
-    def t(x, cells=None):
-        return np.log(x / (S - x)) + (G.integral(x, cells) - G_mid)
+    def t(s):
+        psi = np.pi * s / S
+        return np.log(np.tan(0.5 * psi)) \
+            + (rem.integral(psi - 0.5 * np.pi) - anchor)
 
     return t
 
 
-def _invert_isothermal(rem, anchor, w_knots, x_of_w, dx_dw, q):
-    """The points x where the isothermal coordinate t = w + R(x(w)) - anchor
-    equals q, for every q at once.
+def _invert_isothermal(rem, anchor, q):
+    """The points chi where the isothermal coordinate
+    t = w + R(chi) - anchor equals q, for every q at once.
 
-    w is the Mercator variable of the domain variable x, whose map x(w)
-    and derivative dx/dw (as a function of x) the caller gives; R is the
-    closed-form integral of ``rem``, the spline of the bounded remainder on
-    the knots x_k, whose Mercator values are ``w_knots`` (+-inf at the
-    poles).  t at the knots brackets each root in one knot cell, clamped
-    to |w| <= MERCATOR_GUARD; a secant through the cell's ends starts
-    Newton's method in w, whose derivative 1 + rem(x) dx/dw is positive,
-    and an iterate that leaves the bracket is replaced by its midpoint.
-    So every query stays strictly inside the knots.  Stops after a step
-    of at most INVERSION_TOL; GaugeError if none comes within
+    w = artanh(sin chi) is the Mercator variable, chi = gd(w) =
+    atan(sinh w) with dchi/dw = cos chi, and R is the closed-form integral
+    of ``rem``, the spline of the bounded remainder on the chi knots.  t at
+    the knots brackets each root in one knot cell, clamped to
+    |w| <= MERCATOR_GUARD; a secant through the cell's ends starts
+    Newton's method in w, whose derivative 1 + rem(chi) cos(chi) is
+    positive, and an iterate that leaves the bracket is replaced by its
+    midpoint.  So every query stays strictly inside the knots.  Stops
+    after a step of at most INVERSION_TOL; GaugeError if none comes within
     INVERSION_STEPS.
     """
-    w_knots = np.clip(w_knots, -MERCATOR_GUARD, MERCATOR_GUARD)
+    with np.errstate(divide="ignore"):
+        w_knots = np.clip(np.arctanh(np.sin(rem.x)), -MERCATOR_GUARD,
+                          MERCATOR_GUARD)
     t_knots = w_knots + (rem.knot_integrals() - anchor)
     # t_knots[k] < q <= t_knots[k + 1]: the root lies in knot cell k
     k = np.clip(np.searchsorted(t_knots, q) - 1, 0, len(t_knots) - 2)
@@ -580,34 +589,20 @@ def _invert_isothermal(rem, anchor, w_knots, x_of_w, dx_dw, q):
     w = lo + (q - t_knots[k]) * ((hi - lo) / (t_knots[k + 1] - t_knots[k]))
     step = np.inf
     for _ in range(INVERSION_STEPS):
-        x = x_of_w(w)
-        g = w + (rem.integral(x, k) - anchor) - q
+        chi = np.arctan(np.sinh(w))
+        g = w + (rem.integral(chi, k) - anchor) - q
         below = g < 0.0
         lo = np.where(below, w, lo)
         hi = np.where(below, hi, w)
-        w_new = w - g / (1.0 + rem(x) * dx_dw(x))
+        w_new = w - g / (1.0 + rem(chi) * np.cos(chi))
         w_new = np.where((lo <= w_new) & (w_new <= hi), w_new,
                          0.5 * (lo + hi))
         step = float(np.max(np.abs(w_new - w)))
         w = w_new
         if step <= INVERSION_TOL:
-            return x_of_w(w)
+            return np.arctan(np.sinh(w))
     raise GaugeError(f"isothermal inversion did not converge "
                      f"(last step {step:.1e})")
-
-
-def _refuse_unless_gauge_ready(area_value):
-    """GaugeError unless the area is 4 pi."""
-    if abs(area_value - FOUR_PI) > 1e-6 * FOUR_PI:
-        raise GaugeError(f"profile area {area_value:.6f} != 4*pi; "
-                         "normalize the surface first")
-
-
-def _mercator_targets(n_nodes):
-    """(q, sin theta) at the interior nodes of the uniform theta grid, where
-    q(theta) = ln tan(theta/2) is the round sphere's Mercator coordinate."""
-    theta = np.linspace(0.0, np.pi, n_nodes)[1:-1]
-    return np.log(np.tan(0.5 * theta)), np.sin(theta)
 
 
 def _conformal_from_interior(u_interior):
@@ -626,65 +621,60 @@ def _conformal_from_interior(u_interior):
     return c
 
 
-def _meridian_conformal(m, n_nodes, n_samples):
-    """Conformal gauge of a meridian from n_samples points of the chi grid
-    z = mid + a sin(chi) (odd in chi, so mirrored samples are exact).
+def _sampled_conformal(chi, r, speed, r_at, n_nodes):
+    """Conformal gauge on n_nodes of a surface sampled on the odd chi grid
+    from pole to pole as r, ds/dchi and r at any chi: the Simpson area
+    check, the remainder spline anchored at chi = 0, and u = ln(r/sin theta)
+    where the isothermal coordinate equals ln tan(theta/2)."""
+    area_value = 2.0 * np.pi * float(
+        simpson_weights(len(chi), chi[1] - chi[0]) @ (r * speed))
+    if abs(area_value - FOUR_PI) > 1e-6 * FOUR_PI:
+        raise GaugeError(f"profile area {area_value:.6f} != 4*pi; "
+                         "normalize the surface first")
+    rem, anchor = _isothermal_remainder(chi, r, speed)
+    theta = np.linspace(0.0, np.pi, n_nodes)[1:-1]
+    chi_q = _invert_isothermal(rem, anchor, np.log(np.tan(0.5 * theta)))
+    return _conformal_from_interior(np.log(r_at(chi_q) / np.sin(theta)))
 
-    t(chi) = integral ds/r is the round sphere's Mercator coordinate
-    w = ln tan(chi/2 + pi/4) plus the integral of the bounded remainder
-    (ds/dchi)/r - 1/cos(chi) (``_chi_speed``), anchored at chi = 0.  Then
-    u = ln(r(z)/sin theta) where t = ln tan(theta/2).
-    """
-    chi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_samples)
-    chi = 0.5 * (chi - chi[::-1])
+
+def _meridian_conformal(m, n_nodes, n_samples):
+    """Conformal gauge of a meridian from n_samples points of its chi grid
+    z = mid + a sin(chi) (odd in chi, so mirrored samples are exact)."""
+    chi = _chi_grid(n_samples)
     z, speed = _chi_speed(m, chi)
     with np.errstate(all="ignore"):
         r = m.r(z)
     r[0] = r[-1] = 0.0
-    _refuse_unless_gauge_ready(
-        2.0 * np.pi * float(simpson_weights(n_samples, chi[1] - chi[0])
-                            @ (r * speed)))
-
-    f = np.empty(n_samples)
-    f[1:-1] = speed[1:-1] / r[1:-1] - 1.0 / np.cos(chi[1:-1])
-    _extrapolate_ends(f)
-    rem = Spline(chi, f)
-    with np.errstate(divide="ignore"):
-        w_knots = np.arctanh(np.sin(chi))
-    q, sin_t = _mercator_targets(n_nodes)
-    # chi = gd(w) = atan(sinh w), so dchi/dw = cos(chi)
-    chi_q = _invert_isothermal(rem, rem.knot_integrals()[n_samples // 2],
-                               w_knots, lambda w: np.arctan(np.sinh(w)),
-                               np.cos, q)
-    z_q = m.midpoint + 0.5 * m.width * np.sin(chi_q)
-    return _conformal_from_interior(np.log(m.r(z_q) / sin_t))
+    return _sampled_conformal(chi, r, speed, lambda x: m.r(
+        m.midpoint + 0.5 * m.width * np.sin(x)), n_nodes)
 
 
-def to_conformal(p, n_nodes=2048):
-    """Conformal gauge of a surface of area 4 pi (measured: GaugeError
-    otherwise), given as a ``ProfileMetric`` or as a ``MeridianCurve``.
+def to_conformal(surface, n_nodes=2048):
+    """Conformal gauge on n_nodes >= MIN_CONFORMAL_NODES of a surface of
+    area 4 pi (GaugeError otherwise): a ``MeridianCurve``, sampled on
+    MERIDIAN_SAMPLES n_nodes + 1 points of z = mid + a sin(chi); a
+    ``ProfileMetric``, on its own nodes at chi = pi s/S - pi/2; or a Michel
+    ``OddFunction``, whose ``conformal_samples`` gives it in closed form on
+    as many points of psi = chi + pi/2.
 
-    The isothermal coordinate t, zero half way along the meridian, is
-    matched to the round sphere's Mercator coordinate ln tan(theta/2) by
-    ``_invert_isothermal`` at the interior theta nodes, where e^{2u} =
-    rho^2 / sin^2 theta.  Any other anchor gives the same metric up to an
-    axial boost tan(theta'/2) = e^b tan(theta/2), so no symmetry is needed.
-    A profile's t comes from its s-grid; a meridian is sampled once on
-    MERIDIAN_SAMPLES n_nodes + 1 points of its chi grid.
+    The isothermal coordinate t, zero at chi = 0 (the height midpoint, S/2
+    or psi = pi/2), is matched to ln tan(theta/2) at the interior theta
+    nodes, where e^{2u} = r^2 / sin^2 theta.  Another anchor gives the same
+    metric up to an axial boost tan(theta'/2) = e^b tan(theta/2).
     """
-    if isinstance(p, MeridianCurve):
-        return _meridian_conformal(p, n_nodes, MERIDIAN_SAMPLES * n_nodes + 1)
-    _refuse_unless_gauge_ready(p.area())
-    S = p.total_length
-    G, G_mid = _isothermal_remainder(p)
-    s = p.s_grid
-    with np.errstate(divide="ignore"):
-        w_knots = np.log(s / (S - s))
-    q, sin_t = _mercator_targets(n_nodes)
-    s_q = _invert_isothermal(G, G_mid, w_knots,
-                             lambda w: S / (1.0 + np.exp(-w)),
-                             lambda x: x * (S - x) / S, q)
-    return _conformal_from_interior(np.log(p.rho(s_q) / sin_t))
+    if n_nodes < MIN_CONFORMAL_NODES:
+        raise GaugeError(f"n_nodes = {n_nodes} below the minimum "
+                         f"{MIN_CONFORMAL_NODES} of the conformal grid")
+    if isinstance(surface, MeridianCurve):
+        return _meridian_conformal(surface, n_nodes,
+                                   MERIDIAN_SAMPLES * n_nodes + 1)
+    if isinstance(surface, ProfileMetric):
+        return _sampled_conformal(*_profile_samples(surface), n_nodes)
+    if not hasattr(surface, "conformal_samples"):
+        raise TypeError("to_conformal takes a MeridianCurve, a ProfileMetric "
+                        f"or an OddFunction, not {type(surface).__name__}")
+    chi = _chi_grid(MERIDIAN_SAMPLES * n_nodes + 1)
+    return _sampled_conformal(chi, *surface.conformal_samples(chi), n_nodes)
 
 
 def conformal_to_arclength(c, n_nodes=4097):

@@ -460,6 +460,29 @@ class TestConformalRoute:
                     "--T", "0.001", "--out", str(tmp_path / "f.csv")]) == 0
         assert seen == ["MeridianCurve"]
 
+    def test_michel_flow_converts_the_odd_function(self, tmp_path,
+                                                   monkeypatch):
+        # a Michel surface's gauge comes straight from its odd function:
+        # no arc-length profile is built on the way
+        from zollflow import catalog
+        seen = []
+        real = cli.to_conformal
+
+        def recorded(surface, *args, **kwargs):
+            seen.append(surface)
+            return real(surface, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("flow built an arc-length profile")
+
+        monkeypatch.setattr(cli, "to_conformal", recorded)
+        monkeypatch.setattr(cli, "to_arclength", refused)
+        monkeypatch.setattr(catalog, "michel_surface", refused)
+        assert run(["flow", "--surface", "michel", "--coeffs", "0.3,-0.3",
+                    "--nodes", "256", "--T", "0.001",
+                    "--out", str(tmp_path / "f.csv")]) == 0
+        assert seen == [catalog.OddFunction((0.3, -0.3))]
+
 
 class TestBenchmarkNames:
     """The traced benchmark (perfbench/spans.py) wraps package names at run

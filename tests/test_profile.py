@@ -222,7 +222,8 @@ class TestConformalGauge:
         # is ln tan(psi/2) - H(cos psi) with H' = h/(1 - x^2), H(+-1) = 0;
         # for h = eps (x - x^3), H = eps (x^2 - 1)/2.  Any anchor is an
         # axial boost tan(theta'/2) = e^b tan(theta/2), so u is compared at
-        # the least-squares b (Gauss-Newton)
+        # the least-squares b (Gauss-Newton); the gauge's anchor t = 0 at
+        # psi = pi/2 is the boost b = -H(0) = eps/2
         eps = 0.3
         c = cli.build_conformal(cli.RunConfig(
             surface="michel", coeffs=(eps, -eps), n_nodes=n))
@@ -231,7 +232,7 @@ class TestConformalGauge:
             u, du = self._michel_closed_form(eps, n, b)
             b += du @ (c.u - u) / (du @ du)
         u, _du = self._michel_closed_form(eps, n, b)
-        assert abs(b) > 0.01  # the anchors differ by a boost
+        assert b == pytest.approx(0.5 * eps, abs=1e-9)
         assert np.max(np.abs(c.u - u)) <= gate
 
     def test_symmetry_is_measured(self):
@@ -298,12 +299,44 @@ class TestConformalGauge:
     @pytest.mark.parametrize("n", [513, 1025])
     def test_michel_equator_is_2pi(self, n):
         # the maximal parallel of (1 + h)^2 dpsi^2 + sin^2 psi dphi^2 is
-        # psi = pi/2, of length 2 pi, off the gauge's middle node
+        # psi = pi/2, of length 2 pi; the gauge is anchored there, so on an
+        # odd grid it is the middle node theta = pi/2
         c = cli.build_conformal(cli.RunConfig(
             surface="michel", coeffs=(0.3, -0.3), n_nodes=n))
-        assert abs(c.equator()[0] - PI / 2) > 0.05
+        theta, rho = c.equator()
+        assert theta == pytest.approx(PI / 2, abs=1e-8)
+        assert rho == pytest.approx(np.exp(c.u[n // 2]), rel=1e-15)
         assert zf.make_state(c).equator_length() == pytest.approx(
             2.0 * PI, abs=1e-9)
+
+    def test_even_node_profile_matches_meridian_route(self):
+        # an even node count puts the anchor chi = 0 inside a knot cell
+        m = zf.normalize_to_volume(zf.gong_raw())
+        c = zf.to_conformal(zf.to_arclength(m, 4096), 512)
+        assert c.symmetry_defect() == 0.0
+        assert np.max(np.abs(c.u - zf.to_conformal(m, 512).u)) <= 1e-10
+
+    def test_refuses_too_few_nodes_before_sampling(self):
+        # the pole fit reads the three interior nodes next to each pole
+        def no_sampling(z):
+            raise AssertionError("sampled")
+
+        unsampled = zf.meridian_from_callable(no_sampling, -1.0, 1.0,
+                                              dr=no_sampling,
+                                              d2r=no_sampling)
+        round_p = zf.to_arclength(zf.round_sphere(), 1025)
+        for surface in (round_p, zf.OddFunction((0.3, -0.3)), unsampled):
+            for n in (3, 4):
+                with pytest.raises(GaugeError, match="below the minimum 5"):
+                    zf.to_conformal(surface, n_nodes=n)
+        assert np.max(np.abs(zf.to_conformal(round_p, n_nodes=5).u)) < 1e-10
+
+    def test_refuses_other_inputs(self, gong_conf):
+        for surface in (gong_conf, lambda x: 0.0 * x, (0.3, -0.3)):
+            with pytest.raises(TypeError, match="to_conformal takes a "
+                               "MeridianCurve, a ProfileMetric or an "
+                               "OddFunction"):
+                zf.to_conformal(surface, n_nodes=64)
 
     def test_round_trip_to_arclength(self, areanorm_p, gong_conf):
         back = zf.conformal_to_arclength(gong_conf, n_nodes=4097)

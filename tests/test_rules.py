@@ -100,7 +100,7 @@ class _CheckedSpline(Spline):
 
 def test_call_sites_match_cubicspline(monkeypatch):
     # every Spline call site: to_arclength, michel_surface (through
-    # arclength_grid), to_conformal (through _log_isothermal) and
+    # arclength_grid), to_conformal (through _isothermal_remainder) and
     # conformal_to_arclength
     monkeypatch.setattr(profile, "Spline", _CheckedSpline)
     for m in MERIDIANS:

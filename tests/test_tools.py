@@ -28,3 +28,32 @@ def test_flow_time_error_runs():
     assert all(math.isfinite(v) for v in row.values())
     # the BDF3 flow's own time error is far below the reference's
     assert 0.0 < abs(row["time_error"]) < ref["time_error"]
+
+
+def test_compare_outputs_of_one_tree_are_identical():
+    tool = load_tool("compare_outputs")
+    commands = (("describe", "--nodes", "257", "--surface", "round"),
+                ("flow", "--nodes", "64", "--T", "0.001", "--surface",
+                 "michel", "--coeffs", "0.3,-0.3"))
+    assert tool.compare(ROOT, ROOT, commands) == {
+        " ".join(c): [] for c in commands}
+
+
+def test_compare_outputs_reports_moved_values():
+    tool = load_tool("compare_outputs")
+    old = (0, "# config_hash=a\nt,area\n0,1.0\n0.5,2.0\n", "", "")
+    new = (3, "# config_hash=b\nt,area\n0,1.0\n0.5,2.5\n",
+           '{"t": 0.5, "u": [0.0, 0.2]}', "failed\n")
+    assert tool.differences(old, new) == [
+        "exit code 0 -> 3", "line '# config_hash=a' -> '# config_hash=b'",
+        "area: max abs 0.5, max rel 0.25",
+        "abort snapshot t: 0 -> 1 values",
+        "abort snapshot u: 0 -> 2 values", "streams '' -> 'failed'"]
+    old = (0, '{"L": 2.0, "certified": true}\n', "", "")
+    new = (0, '{"L": 2.0, "certified": false}\n', "", "")
+    assert tool.differences(old, new) == ["certified: [True] -> [False]"]
+    old = (3, "", '{"t": 0.5, "u": [0.0, 0.2]}', "")
+    new = (3, "", '{"t": 0.5, "u": [0.0, 0.25]}', "")
+    assert tool.differences(old, new) == [
+        "abort snapshot u: max abs 0.05, max rel 0.25"]
+    assert tool.differences(old, old) == []
