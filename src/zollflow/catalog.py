@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import MeridianCurve, ProfileMetric, arclength_grid
+from .profile import MeridianCurve, arclength_profile
 
 SQRT2 = np.sqrt(2.0)
 # rescale constant for the gong meridian: c = sqrt(2) - 1
@@ -140,21 +140,16 @@ def michel_surface(h, n_nodes=4097):
     oddness) and the area is exactly 4 pi.
     """
     theta = np.linspace(0.0, np.pi, THETA_SAMPLES)
-    ct = np.cos(theta)
-    speed = 1.0 + h(ct)  # ds/dtheta
+    speed = 1.0 + h(np.cos(theta))  # ds/dtheta
     if np.any(speed <= 0.0):
         raise ValueError("1 + h(cos theta) must stay positive")
-    S, th = arclength_grid(theta, speed, n_nodes)
 
-    ct = np.cos(th)
-    st = np.sin(th)
-    sp = 1.0 + h(ct)
-    rho = st.copy()
-    rho[0] = rho[-1] = 0.0
-    drho = ct / sp
-    drho[0], drho[-1] = 1.0, -1.0
-    # d/ds (cos theta / (1+h)) = sin theta (cos theta h'(cos) - (1+h)) / (1+h)^3
-    d2rho = st * (ct * h.deriv(ct) - sp) / sp ** 3
+    def at(th):
+        ct = np.cos(th)
+        st = np.sin(th)
+        sp = 1.0 + h(ct)
+        # d/ds (cos theta / (1+h)) = sin theta (cos theta h'(cos) - (1+h))
+        # / (1+h)^3
+        return st, ct / sp, st * (ct * h.deriv(ct) - sp) / sp ** 3
 
-    return ProfileMetric(total_length=S, rho_grid=rho, drho_grid=drho,
-                         d2rho_grid=d2rho)
+    return arclength_profile(theta, speed, at, n_nodes)

@@ -218,6 +218,8 @@ class ProfileMetric:
             raise GaugeError("rho must be positive on the interior")
         if not np.all(np.isfinite(self.drho_grid)):
             raise GaugeError("rho' must be finite")
+        if not np.all(np.isfinite(self.d2rho_grid)):
+            raise GaugeError("rho'' must be finite")
         # note: |rho'| <= 1 only holds for profiles embeddable in R^3;
         # abstract metrics of revolution may exceed it, so it is not checked
         if (abs(self.drho_grid[0] - 1.0) > 1e-7
@@ -383,16 +385,27 @@ class Spline:
         return self.knot_integrals()[i] + _kernels.hermite_cell_integral(*args)
 
 
-def arclength_grid(x, speed, n_nodes):
-    """(S, x_u): total arc length, and the parameters of n_nodes points evenly
-    spaced in arc length, for ds/dx = speed on increasing nodes x.  Spline
-    antiderivative, inverted by a second spline: the spline of x on the
-    (non-uniform) arc lengths of the nodes.  Ends pinned to x[0], x[-1]."""
+def arclength_profile(x, speed, at, n_nodes):
+    """ProfileMetric on n_nodes of a surface sampled from pole to pole on
+    increasing x, given ds/dx = speed at the samples and at(x) -> (rho,
+    rho', rho'') with derivatives in arc length.
+
+    The spline antiderivative of the speed gives the samples' arc lengths
+    and the total S; the spline of x on those (non-uniform) lengths gives
+    the x of the uniform s-grid, its ends pinned to x[0] and x[-1].  at()
+    is read there, and the poles are pinned to rho = 0, rho' = +1/-1 and
+    rho'' = 0.
+    """
     s_nodes = Spline(x, speed).knot_integrals()
     S = float(s_nodes[-1])
     x_u = Spline(s_nodes, x)(np.linspace(0.0, S, n_nodes))
     x_u[0], x_u[-1] = x[0], x[-1]
-    return S, x_u
+    rho, drho, d2rho = at(x_u)
+    rho[0] = rho[-1] = 0.0
+    drho[0], drho[-1] = 1.0, -1.0
+    d2rho[0] = d2rho[-1] = 0.0
+    return ProfileMetric(total_length=S, rho_grid=rho, drho_grid=drho,
+                         d2rho_grid=d2rho)
 
 
 def _extrapolate_ends(v):
@@ -420,31 +433,18 @@ def to_arclength(m, n_nodes=4097):
     The cumulative length s(z) = integral of sqrt(1 + r'^2) dz is computed on
     a fine chi-grid (z = mid + a sin(chi)), which turns the square-root
     blow-up of r' at the poles into a smooth integrand, then inverted onto a
-    uniform s-grid.
+    uniform s-grid, where rho' = r'/sqrt(1 + r'^2) and
+    rho'' = r''/(1 + r'^2)^2.
     """
-    a = 0.5 * m.width
-    mid = m.midpoint
-    n_fine = max(8 * n_nodes + 1, 16385)
-    chi = np.linspace(-np.pi / 2, np.pi / 2, n_fine)
-    _z, F = _chi_speed(m, chi)
+    def at(chi):
+        z = m.midpoint + 0.5 * m.width * np.sin(chi)
+        with np.errstate(all="ignore"):
+            dr = m.dr(z)
+            q = 1.0 + dr * dr
+            return m.r(z), dr / np.sqrt(q), m.d2r(z) / q ** 2
 
-    S, chi_u = arclength_grid(chi, F, n_nodes)
-    z_u = mid + a * np.sin(chi_u)
-
-    with np.errstate(all="ignore"):
-        rho_u = m.r(z_u)
-        dr_u = m.dr(z_u)
-        drho_u = np.where(np.abs(dr_u) > 1e12, np.sign(dr_u),
-                          dr_u / np.sqrt(1.0 + dr_u * dr_u))
-        d2_u = m.d2r(z_u)
-        d2rho_u = np.where(np.isfinite(dr_u) & (np.abs(dr_u) < 1e12),
-                           d2_u / (1.0 + dr_u * dr_u) ** 2, 0.0)
-    rho_u[0] = rho_u[-1] = 0.0
-    drho_u[0], drho_u[-1] = 1.0, -1.0
-    d2rho_u[0] = d2rho_u[-1] = 0.0
-
-    return ProfileMetric(total_length=S, rho_grid=rho_u, drho_grid=drho_u,
-                         d2rho_grid=d2rho_u)
+    chi = np.linspace(-np.pi / 2, np.pi / 2, max(8 * n_nodes + 1, 16385))
+    return arclength_profile(chi, _chi_speed(m, chi)[1], at, n_nodes)
 
 
 @dataclass
@@ -682,26 +682,21 @@ def conformal_to_arclength(c, n_nodes=4097):
     ds = e^u d(theta).  This is the bridge that lets the geodesic
     integrator run on flow states."""
     theta = c.theta
-    h = c.h
-    S, th_u = arclength_grid(theta, np.exp(c.u), n_nodes)
 
     # du/dtheta by central differences (u is even at the poles)
     du = np.empty_like(c.u)
-    du[1:-1] = (c.u[2:] - c.u[:-2]) / (2.0 * h)
+    du[1:-1] = (c.u[2:] - c.u[:-2]) / (2.0 * c.h)
     du[0] = du[-1] = 0.0
-
-    K = conformal_curvature(c)
 
     u_sp = Spline(theta, c.u)
     du_sp = Spline(theta, du)
-    K_sp = Spline(theta, K)
+    K_sp = Spline(theta, conformal_curvature(c))
 
-    rho_u = np.exp(u_sp(th_u)) * np.sin(th_u)
-    rho_u[0] = rho_u[-1] = 0.0
-    # d rho/ds = e^{-u} d rho/d theta = u' sin + cos (the e^u factors cancel)
-    drho_u = du_sp(th_u) * np.sin(th_u) + np.cos(th_u)
-    drho_u[0], drho_u[-1] = 1.0, -1.0
-    d2rho_u = -K_sp(th_u) * rho_u
+    def at(th):
+        rho = np.exp(u_sp(th)) * np.sin(th)
+        # d rho/ds = e^{-u} d rho/d theta = u' sin + cos (the e^u factors
+        # cancel), and rho'' = -K rho
+        return (rho, du_sp(th) * np.sin(th) + np.cos(th),
+                -K_sp(th) * rho)
 
-    return ProfileMetric(total_length=S, rho_grid=rho_u, drho_grid=drho_u,
-                         d2rho_grid=d2rho_u)
+    return arclength_profile(theta, np.exp(c.u), at, n_nodes)

@@ -167,9 +167,13 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
     policy.  If the state goes non-finite, or one checkpoint
     interval needs more than MAX_STEPS steps, the FlowInstabilityError
     carries the last checkpoint (none for a non-finite initial state).
+    ValueError unless T is positive, finite and moves initial.t.
     """
-    if T <= 0.0:
-        raise ValueError("horizon T must be positive")
+    t = initial.t
+    t_end = initial.t + T
+    if not t < t_end < math.inf:
+        raise ValueError(f"horizon T = {T} must be positive, finite and "
+                         f"above the rounding of the start time {t}")
     if checkpoint_every is None or checkpoint_every <= 0.0:
         checkpoint_every = T
     c = initial.profile.copy()
@@ -179,10 +183,9 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
         dt_max = min(dt_max, dt_cap)
 
     _kernels.flow_kernel(c.u, grid, 0.0, 0)
-    states = [make_state(c.copy(), initial.t)]
-    t = initial.t
-    t_end = initial.t + T
-    while t < t_end - 1e-15 * max(1.0, t_end):
+    states = [make_state(c.copy(), t)]
+    # what is left below a billionth of a checkpoint interval is rounding
+    while t_end - t > 1e-9 * min(T, checkpoint_every):
         target = min(t + checkpoint_every, t_end)
         # a ratio within rounding of an integer takes that many steps
         n_steps = max(MIN_STEPS, math.ceil((target - t) / dt_max - 1e-9))
@@ -230,7 +233,9 @@ def lprime_numeric(initial, dt_list):
 
     Each dt in dt_list is a horizon: the flow runs to time dt (with internal
     stable stepping) and gives the forward slope (l(dt) - l(0)) / dt.  The
-    slopes are polynomial-extrapolated to dt = 0 (Neville).  With fewer than
+    slopes are polynomial-extrapolated to dt = 0 (Neville), so the
+    horizons must be distinct, positive and finite (ValueError, before any
+    flow runs, otherwise).  With fewer than
     two horizons, or when the extrapolation residuals fail to shrink
     monotonically, the result comes back flagged: value still reported,
     trust it only at the quoted residual.  Residuals below the slopes'
@@ -241,6 +246,9 @@ def lprime_numeric(initial, dt_list):
     dts = sorted(float(d) for d in dt_list)
     if not dts:
         raise ValueError("dt_list must be non-empty")
+    if not all(0.0 < d < math.inf for d in dts) or len(set(dts)) < len(dts):
+        raise ValueError(f"horizons {dts} must be distinct, positive and "
+                         "finite")
     n_steps = max(MIN_STEPS, math.ceil(dts[-1] / flow_dt(initial.profile)))
     runs = [evolve(initial, dt, dt_cap=dt / n_steps) for dt in dts]
     # l0 after the area renormalization every flow starts with, so that

@@ -1,5 +1,6 @@
 """Command-line front end: configs, formats, exit codes, determinism."""
 
+import collections
 import dataclasses
 import importlib
 import json
@@ -16,7 +17,8 @@ from zollflow import _accel, cli, geodesics
 from zollflow.errors import NumericalAbort
 
 FOUR_PI = 4.0 * np.pi
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def run(argv):
@@ -175,6 +177,14 @@ class TestExitCodes:
             assert float(length) == pytest.approx(2.0 * np.pi, rel=1e-9)
             assert float(k_dev) < 1e-8
             assert float(area) == pytest.approx(FOUR_PI, rel=1e-9)
+
+    def test_tiny_horizon_is_reached(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert run(["flow", "--nodes", "64", "--T", "1e-20",
+                    "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if ln and not ln.startswith(("#", "t,"))]
+        assert [float(r[0]) for r in rows] == [0.0, 1e-20]
 
     def test_numerical_abort_exit_code(self, monkeypatch, capsys):
         def abort(*args, **kwargs):
@@ -495,6 +505,35 @@ class TestBenchmarkNames:
         for mod_name, attr, _span in wrapped:
             module = importlib.import_module(f"zollflow.{mod_name}")
             assert callable(getattr(module, attr, None)), (mod_name, attr)
+
+    def test_task_classes_record_expected_spans(self, tmp_path):
+        # one task of every (command, surface, swept) class the workloads
+        # draw, at 257 nodes, run under the benchmark's tracer: each span
+        # the benchmark's integrity check expects must be recorded
+        workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+        spans = runpy.run_path(str(PERFBENCH / "spans.py"))
+        classes = {}
+        for workload in ("certify", "flow", "pipeline"):
+            rounds = workloads["rounds"](workload, 0)
+            for _ in range(3):
+                for task in next(rounds):
+                    classes.setdefault(
+                        (task.command, task.surface, bool(task.samples)),
+                        task)
+        assert len(classes) == 15, sorted(classes)
+        tracer = spans["Tracer"]()
+        recorded = collections.defaultdict(set)
+        for i, task in enumerate(classes.values()):
+            argv = list(task.argv)
+            argv[argv.index("--nodes") + 1] = "257"
+            tracer.task = i
+            with tracer.installed():
+                run([*argv, "--out", str(tmp_path / f"{i}.out")])
+        for name, _start, _end, _parent, task_id, _error in tracer.spans:
+            recorded[task_id].add(name)
+        for i, task in enumerate(classes.values()):
+            missing = spans["expected_spans"](task) - recorded[i]
+            assert not missing, (task.argv, missing)
 
     def test_backend_name(self):
         assert isinstance(_accel.backend_name(), str)

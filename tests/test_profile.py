@@ -174,6 +174,23 @@ class TestArclengthGauge:
         with pytest.raises(GaugeError):
             dataclasses.replace(round_p, drho_grid=round_p.drho_grid * 1.5)
 
+    def test_validate_rejects_nonfinite_d2rho(self, round_p):
+        import dataclasses
+        d2rho = round_p.d2rho_grid.copy()
+        d2rho[7] = np.nan
+        with pytest.raises(GaugeError, match="rho'' must be finite"):
+            dataclasses.replace(round_p, d2rho_grid=d2rho)
+
+    @pytest.mark.parametrize("n", [2049, 4097])
+    def test_refuses_meridian_with_nan_second_derivative(self, n):
+        # the difference quotient for r'' steps outside [-1, 1] next to
+        # the poles, where sqrt(1 - z^2) is NaN
+        m = zf.meridian_from_callable(lambda z: np.sqrt(1.0 - z * z),
+                                      -1.0, 1.0,
+                                      dr=lambda z: -z / np.sqrt(1.0 - z * z))
+        with pytest.raises(GaugeError, match="rho'' must be finite"):
+            zf.to_arclength(m, n)
+
 
 class TestConformalGauge:
     def test_round_conformal_is_flat(self, round_p):
@@ -360,7 +377,11 @@ def _tilted_meridian():
         w = np.sqrt(1.0 - z * z)
         return -z / w * (1.0 + 0.2 * z) + 0.2 * w
 
-    return zf.meridian_from_callable(r, -1.0, 1.0, dr=dr)
+    def d2r(z):
+        w = np.sqrt(1.0 - z * z)
+        return -(1.0 + 0.2 * z) / w ** 3 - 0.4 * z / w
+
+    return zf.meridian_from_callable(r, -1.0, 1.0, dr=dr, d2r=d2r)
 
 
 class TestMeridianConformal:

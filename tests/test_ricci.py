@@ -1,5 +1,6 @@
 """Normalized flow stepping, diagnostics, first variation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -267,6 +268,36 @@ class TestEvolve:
         with pytest.raises(ValueError):
             zf.evolve(zf.make_state(gong_conf.copy()), -1.0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_nonfinite_horizon(self, T):
+        st = zf.make_state(zf.ConformalProfile(u=np.zeros(65)))
+        with pytest.raises(ValueError, match="positive, finite"):
+            zf.evolve(st, T)
+
+    @pytest.mark.parametrize("T", [1e-17, 1e-20, 1e-300])
+    def test_reaches_tiny_horizon(self, gong_conf, T):
+        # the end test is relative to the checkpoint interval, so a horizon
+        # below 1e-15 is stepped to, not dropped
+        states = zf.evolve(zf.make_state(gong_conf.copy()), T)
+        assert [s.t for s in states] == [0.0, T]
+        assert states[-1].equator_length() == pytest.approx(
+            states[0].equator_length(), rel=1e-14)
+
+    def test_refuses_horizon_below_start_time_rounding(self):
+        st = dataclasses.replace(
+            zf.make_state(zf.ConformalProfile(u=np.zeros(65))), t=1.0)
+        with pytest.raises(ValueError, match="start time"):
+            zf.evolve(st, 1e-17)
+
+    def test_rounding_remainder_takes_no_step(self):
+        # ten steps of 0.1 and three of 0.3 end 1.1e-16 short of the
+        # horizon: that remainder is rounding, not one more interval
+        st = zf.make_state(zf.ConformalProfile(u=np.zeros(65)))
+        for T, every, n in ((1.0, 0.1, 10), (0.9, 0.3, 3)):
+            times = [s.t for s in zf.evolve(st, T, checkpoint_every=every)]
+            assert len(times) == n + 1, (T, times)
+            assert times[-1] == pytest.approx(T, abs=1e-15)
+
 
 class TestFlowGrid:
     @pytest.mark.parametrize("n, half", [(512, 256), (513, 257)])
@@ -360,6 +391,19 @@ class TestLprime:
     def test_empty_dt_list_rejected(self, gong_conf):
         with pytest.raises(ValueError):
             zf.lprime_numeric(zf.make_state(gong_conf.copy()), ())
+
+    @pytest.mark.parametrize("dts", [(1e-3, 5e-4, 5e-4), (1e-3, 0.0),
+                                     (1e-3, -5e-4), (1e-3, math.nan),
+                                     (1e-3, math.inf)])
+    def test_bad_horizons_refused_before_any_flow(self, monkeypatch,
+                                                  gong_conf, dts):
+        # a repeated horizon made Neville divide by a zero node gap
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran")
+
+        monkeypatch.setattr(ricci, "evolve", no_flow)
+        with pytest.raises(ValueError, match="distinct, positive and finite"):
+            zf.lprime_numeric(zf.make_state(gong_conf.copy()), dts)
 
     def test_richardson_order(self, gong_conf):
         # successive extrapolation residuals should shrink at order >= 1.8

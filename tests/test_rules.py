@@ -99,9 +99,10 @@ class _CheckedSpline(Spline):
 
 
 def test_call_sites_match_cubicspline(monkeypatch):
-    # every Spline call site: to_arclength, michel_surface (through
-    # arclength_grid), to_conformal (through _isothermal_remainder) and
-    # conformal_to_arclength
+    # every Spline call site: arclength_profile (the one arc-length
+    # construction, reached through to_arclength, michel_surface and
+    # conformal_to_arclength), conformal_to_arclength's own splines of u,
+    # u' and K, and to_conformal (through _isothermal_remainder)
     monkeypatch.setattr(profile, "Spline", _CheckedSpline)
     for m in MERIDIANS:
         zf.to_arclength(m(), n_nodes=1025)
