@@ -10,9 +10,8 @@ from .geodesics import (GeodesicState, PeriodEntry, PeriodReport,
 from .profile import (ConformalProfile, MeridianCurve, ProfileMetric, area,
                       average_curvature, conformal_curvature,
                       conformal_to_arclength, curvature_arclength,
-                      curvature_meridian, meridian_from_callable,
-                      normalize_to_volume, scale, to_arclength, to_conformal,
-                      total_curvature)
+                      curvature_meridian, normalize_to_volume, scale,
+                      to_arclength, to_conformal, total_curvature)
 from .ricci import (FlowState, LprimeResult, evolve, flow_step,
                     lprime_analytic, lprime_numeric, make_state)
 from .weinstein import (DiscretenessVerdict, WeinsteinDatum, common_period,

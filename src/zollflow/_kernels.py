@@ -325,21 +325,6 @@ def section_crossing(h, rho_a, drho_a, d2rho_a, traj, i, s_section):
     return tau[i] + cdelta, cs, cphi, cpsi
 
 
-def curvature_grid(u, h, cot_t):
-    """Gaussian curvature e^{-2u} (1 - lap0 u) on the uniform theta grid.
-
-    lap0 is the round-sphere Laplacian u'' + cot(theta) u'; at the poles the
-    regular limit 2 u'' is used with a mirrored one-sided stencil.
-    """
-    h2 = h * h
-    lap = np.empty(u.shape[0])
-    lap[1:-1] = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
-                 + cot_t[1:-1] * (u[2:] - u[:-2]) / (2.0 * h))
-    lap[0] = 4.0 * (u[1] - u[0]) / h2
-    lap[-1] = 4.0 * (u[-2] - u[-1]) / h2
-    return np.exp(-2.0 * u) * (1.0 - lap)
-
-
 def flow_kernel(u, grid, dt, n_steps):
     """Advance the normalized flow u_t = Kbar - K by n_steps steps of dt.
 

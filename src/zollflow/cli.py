@@ -121,9 +121,6 @@ class RunConfig:
                 raise ConfigError(f"coeffs: {e}") from e
         return cls(**d).validate()
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def digest_payload(self):
         """json.dumps(to_dict() without "out", sort_keys=True), formatted
         directly: the hash identifies the computation, not the destination.

@@ -16,6 +16,7 @@ stays finite, and curvature near the poles comes from the arc-length gauge
 (K = -rho''/rho) or the conformal one.
 """
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -31,8 +32,6 @@ FOUR_PI = 4.0 * np.pi
 
 # fraction of the domain width kept clear of the poles in the height gauge
 POLE_GUARD_FRACTION = 1e-6
-# central-difference step for user-supplied curves without derivatives
-FD_STEP_FRACTION = 1e-6
 # Gauss-Legendre orders of the meridian quadratures: the finer rule gives the
 # value, its difference from the coarser one the error estimate
 QUAD_NODES = (64, 128)
@@ -55,8 +54,8 @@ INVERSION_TOL = 1e-12
 
 def simpson_weights(n, h):
     """Composite Simpson weights for n uniform nodes (3/8 tail if n is even)."""
-    if n < 4:
-        raise ValueError("need at least 4 nodes")
+    if n < 3:
+        raise ValueError("need at least 3 nodes")
     w = np.zeros(n)
     if n % 2 == 1:
         w[0] = w[-1] = 1.0
@@ -66,7 +65,8 @@ def simpson_weights(n, h):
     else:
         # Simpson on the first n-4 intervals, 3/8 rule on the last three
         m = n - 3
-        w[:m] += simpson_weights(m, h)
+        if m > 1:
+            w[:m] += simpson_weights(m, h)
         w[m - 1:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
     return w
 
@@ -103,17 +103,6 @@ class MeridianCurve:
             raise PoleProximityError(
                 f"z = {z} within {self.pole_guard} of a pole; "
                 "use the arc-length gauge near the poles")
-
-
-def meridian_from_callable(r, z_lo, z_hi, dr=None, d2r=None):
-    """Build a MeridianCurve, falling back to central differences for
-    missing derivatives (step 1e-6 of the domain width, second order)."""
-    h = FD_STEP_FRACTION * (z_hi - z_lo)
-    if dr is None:
-        dr = lambda z: (r(z + h) - r(z - h)) / (2.0 * h)
-    if d2r is None:
-        d2r = lambda z: (r(z + h) - 2.0 * r(z) + r(z - h)) / (h * h)
-    return MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=z_lo, z_hi=z_hi)
 
 
 def curvature_meridian(m, z):
@@ -476,7 +465,7 @@ class ConformalProfile:
         the largest rho, with derivatives from fourth-order differences of
         u (even about both poles); not cached, as u may change in place."""
         n, h, h12 = self.n_nodes, self.h, 12.0 * self.h
-        rho = np.exp(self.u) * conformal_grid(n)[0]
+        rho = np.exp(self.u) * conformal_grid(n).sin_t
         j = min(max(int(np.argmax(rho)), 1), n - 2)
         # u at nodes j-3 .. j+3, mirrored about a pole the window crosses
         u = self.u[[n - 1 - abs(n - 1 - abs(k))
@@ -498,28 +487,44 @@ class ConformalProfile:
         return float(np.max(np.abs(self.u - self.u[::-1])))
 
 
+ConformalGrid = collections.namedtuple("ConformalGrid", "sin_t ws a b")
+
+
 @functools.lru_cache(maxsize=None)
 def conformal_grid(n_nodes):
-    """(sin theta, cot theta, Simpson weights) on the uniform theta grid.
-
-    Built once per grid size, read-only.  cot is set to 0 at the poles,
-    where the curvature stencil does not use it.
+    """The uniform theta grid's one record, built once per grid size and
+    read-only: sin theta, the area weights ws = (Simpson weight) sin theta,
+    and the round Laplacian lap0 u_i = a_i (u[i+1] - u[i]) + b_i (u[i-1] -
+    u[i]).  Its interior rows are u'' + cot(theta) u' by central
+    differences; its pole rows are the regular limit 2 u'', mirrored about
+    the pole (b = 0 at theta = 0, a = 0 at theta = pi).
     """
     theta = np.linspace(0.0, np.pi, n_nodes)
     sin_t = np.sin(theta)
     cot_t = np.zeros(n_nodes)
     cot_t[1:-1] = np.cos(theta[1:-1]) / sin_t[1:-1]
-    grid = sin_t, cot_t, simpson_weights(n_nodes, np.pi / (n_nodes - 1))
-    for a in grid:
-        a.flags.writeable = False
+    h = np.pi / (n_nodes - 1)
+    h2 = h * h
+    a = 1.0 / h2 + cot_t / (2.0 * h)
+    b = 1.0 / h2 - cot_t / (2.0 * h)
+    a[0], b[0] = 4.0 / h2, 0.0
+    a[-1], b[-1] = 0.0, 4.0 / h2
+    grid = ConformalGrid(sin_t, simpson_weights(n_nodes, h) * sin_t, a, b)
+    for x in grid:
+        x.flags.writeable = False
     return grid
 
 
 def conformal_curvature(c):
-    """Discrete curvature K = e^{-2u} (1 - lap0 u) at every node, second
-    order in the grid."""
-    _sin_t, cot_t, _w = conformal_grid(c.n_nodes)
-    return _kernels.curvature_grid(np.asarray(c.u, dtype=float), c.h, cot_t)
+    """Discrete curvature K = e^{-2u} (1 - lap0 u) at every node, with
+    ``conformal_grid``'s lap0: second order in the grid."""
+    u = np.asarray(c.u, dtype=float)
+    grid = conformal_grid(len(u))
+    du = np.diff(u)
+    lap = np.zeros(len(u))
+    lap[:-1] += grid.a[:-1] * du
+    lap[1:] -= grid.b[1:] * du
+    return np.exp(-2.0 * u) * (1.0 - lap)
 
 
 def _chi_grid(n_samples):

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import FlowInstabilityError
-from .profile import FOUR_PI, SYMMETRY_TOL, ConformalProfile, conformal_grid
+from .profile import (FOUR_PI, SYMMETRY_TOL, ConformalProfile,
+                      conformal_curvature, conformal_grid)
 
 STABILITY_FACTOR = 0.4  # explicit step: factor * h^2 * min e^{2u}
 # evolve's BDF3 step: at most DT_PER_H * h, and at least MIN_STEPS steps
@@ -57,27 +58,27 @@ class FlowState:
     t: float
     area: float
     k_bar: float
-    k_min: float
-    k_max: float
+    max_abs_k_minus_1: float
     rho_max: float  # radius of the maximal parallel
-
-    @property
-    def max_abs_k_minus_1(self):
-        return max(abs(self.k_min - 1.0), abs(self.k_max - 1.0))
 
     def equator_length(self):
         return TWO_PI * self.rho_max
 
 
+def _area_curvature(profile):
+    """(area, Kbar, K): the area of a conformal profile, its curvature K
+    at every node (``conformal_curvature``) and K's area average."""
+    e = conformal_grid(profile.n_nodes).ws * np.exp(2.0 * profile.u)
+    K = conformal_curvature(profile)
+    total = e.sum()
+    return TWO_PI * float(total), float(np.dot(e, K) / total), K
+
+
 def make_state(profile, t=0.0):
     """Wrap a profile with freshly computed diagnostics."""
-    sin_t, cot_t, w = conformal_grid(profile.n_nodes)
-    K = _kernels.curvature_grid(profile.u, profile.h, cot_t)
-    g = w * np.exp(2.0 * profile.u) * sin_t
-    area = TWO_PI * float(g.sum())
-    k_bar = float(np.dot(g, K) / g.sum())
+    area, k_bar, K = _area_curvature(profile)
     return FlowState(profile=profile, t=t, area=area, k_bar=k_bar,
-                     k_min=float(K.min()), k_max=float(K.max()),
+                     max_abs_k_minus_1=float(np.max(np.abs(K - 1.0))),
                      rho_max=profile.equator()[1])
 
 
@@ -107,14 +108,11 @@ def flow_step(state, dt):
         raise FlowInstabilityError(
             f"dt = {dt:g} exceeds the stability bound {bound:g}", state=state)
     c = state.profile.copy()
-    sin_t, cot_t, w = conformal_grid(c.n_nodes)
-    K = _kernels.curvature_grid(c.u, c.h, cot_t)
-    g = w * np.exp(2.0 * c.u) * sin_t
-    k_bar = np.dot(g, K) / g.sum()
+    _, k_bar, K = _area_curvature(c)
     c.u += dt * (k_bar - K)
     if state.profile.symmetry_defect() < SYMMETRY_TOL:
         c.u = 0.5 * (c.u + c.u[::-1])
-    area = TWO_PI * float(np.dot(w, np.exp(2.0 * c.u) * sin_t))
+    area = _area_curvature(c)[0]
     if not np.isfinite(area) or area <= 0.0:
         raise FlowInstabilityError("non-finite state after step", state=state)
     c.u -= 0.5 * np.log(area / FOUR_PI)
@@ -126,29 +124,22 @@ FlowGrid = collections.namedtuple("FlowGrid", "m ws a b ab")
 
 @functools.lru_cache(maxsize=None)
 def flow_grid(n_nodes, symmetric):
-    """``flow_kernel``'s read-only grid, built once per grid like
-    ``conformal_grid``: the m nodes it steps (the half grid 0 ..
-    ceil(n/2) - 1 when symmetric), their area weights ws = w sin(theta),
-    folded onto the half grid, and the stencil lap0 u_i = a_i (u[i+1] -
-    u[i]) + b_i (u[i-1] - u[i]), with ab = a + b.  The pole rows are 2 u''
-    mirrored; the half grid's equator row mirrors u[m] = u[m-2] for odd
-    n_nodes (weighing that node once) and u[m] = u[m-1] for even."""
-    sin_t, cot_t, w = conformal_grid(n_nodes)
-    h = np.pi / (n_nodes - 1)
-    h2 = h * h
-    ws = w * sin_t
-    a = 1.0 / h2 + cot_t / (2.0 * h)
-    b = 1.0 / h2 - cot_t / (2.0 * h)
-    a[0], b[0] = 4.0 / h2, 0.0
-    a[-1], b[-1] = 0.0, 4.0 / h2
-    m = n_nodes
+    """``flow_kernel``'s read-only grid, built once per grid: the m nodes
+    it steps with their area weights ws and ``conformal_grid``'s lap0
+    stencil (a, b), with ab = a + b.  Symmetric data steps the half grid
+    0 .. ceil(n/2) - 1, onto which this folds the record: the weights of
+    mirrored nodes are summed, and the equator row mirrors u[m] = u[m-2]
+    for odd n_nodes (weighing that node once) and u[m] = u[m-1] for even.
+    """
+    record = conformal_grid(n_nodes)
+    m, ws, a, b = n_nodes, record.ws, record.a, record.b
     if symmetric:
         m = (n_nodes + 1) // 2
         ws = ws[:m] + ws[::-1][:m]
+        a, b = a[:m].copy(), b[:m].copy()
         if n_nodes % 2 == 1:
             ws[-1] *= 0.5
-            b[m - 1] += a[m - 1]
-        a, b = a[:m], b[:m]
+            b[-1] += a[-1]
         a[-1] = 0.0
     grid = FlowGrid(m, ws, a, b, a + b)
     for x in grid[1:]:
@@ -167,13 +158,18 @@ def evolve(initial, T, checkpoint_every=None, dt_cap=0.0):
     policy.  If the state goes non-finite, or one checkpoint
     interval needs more than MAX_STEPS steps, the FlowInstabilityError
     carries the last checkpoint (none for a non-finite initial state).
-    ValueError unless T is positive, finite and moves initial.t.
+    ValueError, before any work, unless T is positive, finite and moves
+    initial.t, or if checkpoint_every or dt_cap is NaN.
     """
     t = initial.t
     t_end = initial.t + T
     if not t < t_end < math.inf:
         raise ValueError(f"horizon T = {T} must be positive, finite and "
                          f"above the rounding of the start time {t}")
+    for name, value in (("checkpoint_every", checkpoint_every),
+                        ("dt_cap", dt_cap)):
+        if value is not None and math.isnan(value):
+            raise ValueError(f"{name} must not be NaN")
     if checkpoint_every is None or checkpoint_every <= 0.0:
         checkpoint_every = T
     c = initial.profile.copy()

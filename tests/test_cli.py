@@ -54,7 +54,7 @@ def valid_configs(draw):
 class TestConfig:
     def test_round_trip_identity(self):
         c = cli.RunConfig(surface="michel", coeffs=(0.2, -0.2), n_nodes=256)
-        again = cli.RunConfig.from_dict(json.loads(c.to_json()))
+        again = cli.RunConfig.from_dict(json.loads(json.dumps(c.to_dict())))
         assert again == c
 
     def test_unknown_field_rejected(self):

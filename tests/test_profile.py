@@ -13,7 +13,8 @@ PI = np.pi
 
 
 def test_simpson_weights_exact_on_cubics():
-    for n in (9, 10, 64, 65):
+    # 3, 4 and 6 nodes: the smallest Simpson, 3/8 and mixed rules
+    for n in (3, 4, 6, 9, 10, 64, 65):
         h = 1.0 / (n - 1)
         x = np.linspace(0.0, 1.0, n)
         w = simpson_weights(n, h)
@@ -66,12 +67,6 @@ class TestMeridianGauge:
         # Gauss-Bonnet holds for any smooth closed profile
         for m in (zf.round_sphere(), zf.gong_raw()):
             assert zf.total_curvature(m) == pytest.approx(FOUR_PI, rel=1e-9)
-
-    def test_fd_fallback_matches_analytic(self):
-        m = zf.meridian_from_callable(lambda z: np.sqrt(1 - z * z),
-                                      -1.0, 1.0)
-        for z in (-0.6, 0.0, 0.5):
-            assert zf.curvature_meridian(m, z) == pytest.approx(1.0, abs=1e-4)
 
     def test_scale_curvature_covariance(self):
         m = zf.gong_raw()
@@ -183,11 +178,14 @@ class TestArclengthGauge:
 
     @pytest.mark.parametrize("n", [2049, 4097])
     def test_refuses_meridian_with_nan_second_derivative(self, n):
-        # the difference quotient for r'' steps outside [-1, 1] next to
-        # the poles, where sqrt(1 - z^2) is NaN
-        m = zf.meridian_from_callable(lambda z: np.sqrt(1.0 - z * z),
-                                      -1.0, 1.0,
-                                      dr=lambda z: -z / np.sqrt(1.0 - z * z))
+        # r'' is NaN within 2e-6 of the poles, as a difference quotient
+        # stepping outside [-1, 1] would be
+        m = zf.MeridianCurve(
+            r=lambda z: np.sqrt(1.0 - z * z),
+            dr=lambda z: -z / np.sqrt(1.0 - z * z),
+            d2r=lambda z: np.where(1.0 - np.abs(z) < 2e-6, np.nan,
+                                   -(1.0 - z * z) ** -1.5),
+            z_lo=-1.0, z_hi=1.0)
         with pytest.raises(GaugeError, match="rho'' must be finite"):
             zf.to_arclength(m, n)
 
@@ -338,9 +336,8 @@ class TestConformalGauge:
         def no_sampling(z):
             raise AssertionError("sampled")
 
-        unsampled = zf.meridian_from_callable(no_sampling, -1.0, 1.0,
-                                              dr=no_sampling,
-                                              d2r=no_sampling)
+        unsampled = zf.MeridianCurve(r=no_sampling, dr=no_sampling,
+                                     d2r=no_sampling, z_lo=-1.0, z_hi=1.0)
         round_p = zf.to_arclength(zf.round_sphere(), 1025)
         for surface in (round_p, zf.OddFunction((0.3, -0.3)), unsampled):
             for n in (3, 4):
@@ -367,6 +364,32 @@ class TestConformalGauge:
         K = zf.conformal_curvature(c)
         assert np.max(np.abs(K - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("n", [257, 1024])
+    @pytest.mark.parametrize("surface", ["gong", "michel"])
+    def test_conformal_curvature_matches_central_differences(self, n,
+                                                             surface):
+        # the oracle is lap0 = u'' + cot(theta) u' by central differences
+        # (2 u'' at the poles), written out term by term
+        source = (zf.normalize_to_volume(zf.gong_raw()) if surface == "gong"
+                  else zf.OddFunction((0.3, -0.3)))
+        c = zf.to_conformal(source, n)
+        u, h = c.u, c.h
+        theta = c.theta
+        lap = np.empty(n)
+        lap[1:-1] = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
+                     + np.cos(theta[1:-1]) / np.sin(theta[1:-1])
+                     * (u[2:] - u[:-2]) / (2.0 * h))
+        lap[0] = 4.0 * (u[1] - u[0]) / h ** 2
+        lap[-1] = 4.0 * (u[-2] - u[-1]) / h ** 2
+        oracle = np.exp(-2.0 * u) * (1.0 - lap)
+        # the oracle's second difference rounds to about eps max|u| / h^2
+        # (1.1e-12 on Michel at 1024 nodes), while the stencil's
+        # differences of neighbouring nodes are exact: against the same
+        # stencil in extended precision its K is off by at most 1.9e-14
+        # here, the oracle's by up to 1.1e-12
+        tol = np.finfo(float).eps * np.max(np.abs(u)) / h ** 2
+        assert np.max(np.abs(zf.conformal_curvature(c) - oracle)) <= tol
+
 
 def _tilted_meridian():
     # the round sphere leaning towards its upper pole: no mirror symmetry
@@ -381,7 +404,7 @@ def _tilted_meridian():
         w = np.sqrt(1.0 - z * z)
         return -(1.0 + 0.2 * z) / w ** 3 - 0.4 * z / w
 
-    return zf.meridian_from_callable(r, -1.0, 1.0, dr=dr, d2r=d2r)
+    return zf.MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=-1.0, z_hi=1.0)
 
 
 class TestMeridianConformal:

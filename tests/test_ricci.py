@@ -10,7 +10,7 @@ import pytest
 import zollflow as zf
 from zollflow import _kernels, cli, ricci
 from zollflow.errors import FlowInstabilityError
-from zollflow.profile import FOUR_PI, SYMMETRY_TOL
+from zollflow.profile import FOUR_PI, SYMMETRY_TOL, simpson_weights
 from zollflow.ricci import stability_dt
 
 # frozen oracles for the area-4pi gong (30-digit quadrature, see test_catalog)
@@ -274,6 +274,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match="positive, finite"):
             zf.evolve(st, T)
 
+    @pytest.mark.parametrize("name", ["checkpoint_every", "dt_cap"])
+    def test_rejects_nan_setting_before_any_work(self, monkeypatch, name):
+        # a NaN interval made math.ceil raise after the t = 0
+        # renormalization, and a NaN cap was silently ignored
+        def no_work(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(_kernels, "flow_kernel", no_work)
+        st = zf.make_state(zf.ConformalProfile(u=np.zeros(65)))
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            zf.evolve(st, 0.1, **{name: math.nan})
+
     @pytest.mark.parametrize("T", [1e-17, 1e-20, 1e-300])
     def test_reaches_tiny_horizon(self, gong_conf, T):
         # the end test is relative to the checkpoint interval, so a horizon
@@ -310,9 +322,43 @@ class TestFlowGrid:
                 assert x.shape == (m,) and not x.flags.writeable
             assert np.array_equal(grid.ab, grid.a + grid.b)
         # the folded weights carry the whole grid's area
-        sin_t, _cot_t, w = zf.profile.conformal_grid(n)
         assert ricci.flow_grid(n, True).ws.sum() == pytest.approx(
-            float(w @ sin_t), rel=1e-15)
+            zf.profile.conformal_grid(n).ws.sum(), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [5, 6, 512, 513, 1024, 1025])
+    def test_grids_bitwise_from_stencil_formulas(self, n):
+        # the flow's stencil as first written: the record and its fold
+        # must reproduce it bit for bit, so that no flow moves
+        theta = np.linspace(0.0, np.pi, n)
+        sin_t = np.sin(theta)
+        cot_t = np.zeros(n)
+        cot_t[1:-1] = np.cos(theta[1:-1]) / sin_t[1:-1]
+        h = np.pi / (n - 1)
+        h2 = h * h
+        ws = simpson_weights(n, h) * sin_t
+        a = 1.0 / h2 + cot_t / (2.0 * h)
+        b = 1.0 / h2 - cot_t / (2.0 * h)
+        a[0], b[0] = 4.0 / h2, 0.0
+        a[-1], b[-1] = 0.0, 4.0 / h2
+        record = zf.profile.conformal_grid(n)
+        for got, want in zip(record, (sin_t, ws, a, b)):
+            assert np.array_equal(got, want)
+        full = ricci.flow_grid(n, False)
+        assert full.m == n
+        for got, want in zip(full[1:], (ws, a, b, a + b)):
+            assert np.array_equal(got, want)
+        m = (n + 1) // 2
+        ws_half = ws[:m] + ws[::-1][:m]
+        if n % 2 == 1:
+            ws_half[-1] *= 0.5
+            b[m - 1] += a[m - 1]
+        a_half, b_half = a[:m].copy(), b[:m]
+        a_half[-1] = 0.0
+        half = ricci.flow_grid(n, True)
+        assert half.m == m
+        for got, want in zip(half[1:], (ws_half, a_half, b_half,
+                                        a_half + b_half)):
+            assert np.array_equal(got, want)
 
     def test_evolve_builds_no_grid(self, gong_conf):
         st = zf.make_state(gong_conf.copy())
@@ -377,11 +423,11 @@ class TestLprime:
 
     def test_kernel_without_steps_only_renormalizes(self, gong_conf):
         u = gong_conf.u.copy()
-        sin_t, _cot_t, w = zf.profile.conformal_grid(len(u))
+        ws = zf.profile.conformal_grid(len(u)).ws
         _kernels.flow_kernel(u, ricci.flow_grid(len(u), True), 0.0, 0)
         shift = u - gong_conf.u
         assert np.ptp(shift) < 1e-15
-        area = 2.0 * np.pi * float(w @ (np.exp(2.0 * u) * sin_t))
+        area = 2.0 * np.pi * float(ws @ np.exp(2.0 * u))
         assert area == pytest.approx(FOUR_PI, rel=1e-14)
 
     def test_single_dt_flagged(self, gong_conf):

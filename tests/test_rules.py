@@ -141,7 +141,12 @@ def test_kinked_meridian_raises():
         return -z / w * (1.0 + 0.2 * np.abs(z - 0.3)) \
             + 0.2 * w * np.sign(z - 0.3)
 
-    m = zf.meridian_from_callable(r, -1.0, 1.0, dr=dr)
+    def d2r(z):
+        w = np.sqrt(1.0 - z * z)
+        return -(1.0 + 0.2 * np.abs(z - 0.3)) / w ** 3 \
+            - 0.4 * z / w * np.sign(z - 0.3)
+
+    m = zf.MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=-1.0, z_hi=1.0)
     with pytest.raises(QuadratureError):
         zf.area(m)
 
