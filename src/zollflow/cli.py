@@ -26,9 +26,9 @@ import numpy as np
 from . import catalog, geodesics, ricci, weinstein
 from .errors import (FlowInstabilityError, GaugeError, NoClosureError,
                      NumericalAbort, QuadratureError, ZollCertificationError)
-from .profile import (FOUR_PI, ConformalProfile, conformal_to_arclength,
-                      curvature_arclength, normalize_to_volume, to_arclength,
-                      to_conformal)
+from .profile import (FOUR_PI, TWO_PI, ConformalProfile,
+                      conformal_to_arclength, curvature_arclength,
+                      normalize_to_volume, to_arclength, to_conformal)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -217,7 +217,7 @@ def cmd_describe(config):
         "K_bar": float(FOUR_PI / p.area()),
         "K_equator": float(curvature_arclength(p, s_eq)),
         "S": float(p.total_length),
-        "equator_length": float(2.0 * np.pi * rho_eq),
+        "equator_length": float(TWO_PI * rho_eq),
     }
     _emit(config, _json_report(config, report))
     return EXIT_OK

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NoClosureError, NumericalAbort
+from .profile import TWO_PI
 
-TWO_PI = 2.0 * np.pi
 DEFAULT_TOL = 1e-10     # DP5 error per unit length
 CLOSURE_TOL = 1e-6      # closure distance at which a return is the period
 DEFAULT_HORIZON = 8.0 * TWO_PI

@@ -28,6 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from . import _kernels
 from .errors import DomainError, GaugeError, PoleProximityError, QuadratureError
 
+TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
 
 # fraction of the domain width kept clear of the poles in the height gauge
@@ -150,7 +151,7 @@ def area(m):
     def f(z):
         dr = m.dr(z)
         return m.r(z) * np.sqrt(1.0 + dr * dr)
-    return 2.0 * np.pi * _chi_integral(m, f)
+    return TWO_PI * _chi_integral(m, f)
 
 
 def total_curvature(m):
@@ -158,7 +159,7 @@ def total_curvature(m):
     def f(z):
         dr = m.dr(z)
         return -m.d2r(z) / (1.0 + dr * dr) ** 1.5
-    return 2.0 * np.pi * _chi_integral(m, f)
+    return TWO_PI * _chi_integral(m, f)
 
 
 def average_curvature(m):
@@ -239,7 +240,7 @@ class ProfileMetric:
 
     def area(self):
         w = simpson_weights(self.n_nodes, self.h)
-        return 2.0 * np.pi * float(w @ self.rho_grid)
+        return TWO_PI * float(w @ self.rho_grid)
 
     def grid_lists(self):
         """(h, rho, drho, d2rho) as a float and lists of floats, built once
@@ -316,12 +317,11 @@ def grid_equator(h, rho, drho, d2rho):
 
 def curvature_arclength(p, s):
     """K = -rho''(s)/rho(s); valid on the open interval (0, S)."""
-    scalar = np.isscalar(s)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any((s_arr <= 0.0) | (s_arr >= p.total_length)):
+    s = np.asarray(s, dtype=float)
+    if np.any((s <= 0.0) | (s >= p.total_length)):
         raise DomainError("s must lie strictly inside (0, S)")
-    val = -p.d2rho(s_arr) / p.rho(s_arr)
-    return float(val[0]) if scalar else val
+    val = -p.d2rho(s) / p.rho(s)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 class Spline:
@@ -460,56 +460,58 @@ class ConformalProfile:
     def copy(self):
         return ConformalProfile(u=self.u.copy())
 
+    def derivatives(self):
+        """(u', u'') at every node by fourth-order central differences, on
+        u padded by two nodes mirrored past each pole (u is even about
+        both): the conformal gauge's one derivative rule."""
+        u, h12 = self.u, 12.0 * self.h
+        pad = np.concatenate((u[2:0:-1], u, u[-2:-4:-1]))
+        um2, um1, u0, up1, up2 = (pad[k:k + len(u)] for k in range(5))
+        du = (8.0 * (up1 - um1) - (up2 - um2)) / h12
+        d2u = (16.0 * (up1 + um1) - (up2 + um2) - 30.0 * u0) / (h12 * self.h)
+        return du, d2u
+
     def equator(self):
-        """``grid_equator`` of rho = e^u sin theta on the three nodes around
-        the largest rho, with derivatives from fourth-order differences of
-        u (even about both poles); not cached, as u may change in place."""
-        n, h, h12 = self.n_nodes, self.h, 12.0 * self.h
-        rho = np.exp(self.u) * conformal_grid(n).sin_t
-        j = min(max(int(np.argmax(rho)), 1), n - 2)
-        # u at nodes j-3 .. j+3, mirrored about a pole the window crosses
-        u = self.u[[n - 1 - abs(n - 1 - abs(k))
-                    for k in range(j - 3, j + 4)]].tolist()
-        drho, d2rho = [], []
-        for i in range(3):
-            um2, um1, u0, up1, up2 = u[i:i + 5]
-            du = (8.0 * (up1 - um1) - (up2 - um2)) / h12
-            d2u = (16.0 * (up1 + um1) - (up2 + um2) - 30.0 * u0) / (h12 * h)
-            theta = (j - 1 + i) * h
-            e, s, c = math.exp(u0), math.sin(theta), math.cos(theta)
-            # rho' = e^u (u's + c), rho'' = e^u ((u'' + u'^2 - 1) s + 2u'c)
-            drho.append(e * (du * s + c))
-            d2rho.append(e * ((d2u + du * du - 1.0) * s + 2.0 * du * c))
-        x, rho_star = grid_equator(h, rho[j - 1:j + 2].tolist(), drho, d2rho)
-        return (j - 1) * h + x, rho_star
+        """``grid_equator`` of rho = e^u sin theta with its theta
+        derivatives from ``derivatives``; not cached, as u may change in
+        place."""
+        grid = conformal_grid(self.n_nodes)
+        s, c = grid.sin_t, grid.cos_t
+        du, d2u = self.derivatives()
+        e = np.exp(self.u)
+        # rho' = e^u (u's + c), rho'' = e^u ((u'' + u'^2 - 1) s + 2u'c)
+        return grid_equator(self.h, e * s, e * (du * s + c),
+                            e * ((d2u + du * du - 1.0) * s + 2.0 * du * c))
 
     def symmetry_defect(self):
         return float(np.max(np.abs(self.u - self.u[::-1])))
 
 
-ConformalGrid = collections.namedtuple("ConformalGrid", "sin_t ws a b")
+ConformalGrid = collections.namedtuple("ConformalGrid", "sin_t cos_t ws a b")
 
 
 @functools.lru_cache(maxsize=None)
 def conformal_grid(n_nodes):
     """The uniform theta grid's one record, built once per grid size and
-    read-only: sin theta, the area weights ws = (Simpson weight) sin theta,
-    and the round Laplacian lap0 u_i = a_i (u[i+1] - u[i]) + b_i (u[i-1] -
-    u[i]).  Its interior rows are u'' + cot(theta) u' by central
-    differences; its pole rows are the regular limit 2 u'', mirrored about
-    the pole (b = 0 at theta = 0, a = 0 at theta = pi).
+    read-only: sin theta, cos theta, the area weights ws = (Simpson weight)
+    sin theta, and the round Laplacian
+    lap0 u_i = a_i (u[i+1] - u[i]) + b_i (u[i-1] - u[i]).  Its interior
+    rows are u'' + cot(theta) u' by central differences; its pole rows are
+    the regular limit 2 u'', mirrored about the pole (b = 0 at theta = 0,
+    a = 0 at theta = pi).
     """
     theta = np.linspace(0.0, np.pi, n_nodes)
-    sin_t = np.sin(theta)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
     cot_t = np.zeros(n_nodes)
-    cot_t[1:-1] = np.cos(theta[1:-1]) / sin_t[1:-1]
+    cot_t[1:-1] = cos_t[1:-1] / sin_t[1:-1]
     h = np.pi / (n_nodes - 1)
     h2 = h * h
     a = 1.0 / h2 + cot_t / (2.0 * h)
     b = 1.0 / h2 - cot_t / (2.0 * h)
     a[0], b[0] = 4.0 / h2, 0.0
     a[-1], b[-1] = 0.0, 4.0 / h2
-    grid = ConformalGrid(sin_t, simpson_weights(n_nodes, h) * sin_t, a, b)
+    grid = ConformalGrid(sin_t, cos_t, simpson_weights(n_nodes, h) * sin_t,
+                         a, b)
     for x in grid:
         x.flags.writeable = False
     return grid
@@ -631,7 +633,7 @@ def _sampled_conformal(chi, r, speed, r_at, n_nodes):
     from pole to pole as r, ds/dchi and r at any chi: the Simpson area
     check, the remainder spline anchored at chi = 0, and u = ln(r/sin theta)
     where the isothermal coordinate equals ln tan(theta/2)."""
-    area_value = 2.0 * np.pi * float(
+    area_value = TWO_PI * float(
         simpson_weights(len(chi), chi[1] - chi[0]) @ (r * speed))
     if abs(area_value - FOUR_PI) > 1e-6 * FOUR_PI:
         raise GaugeError(f"profile area {area_value:.6f} != 4*pi; "
@@ -685,23 +687,20 @@ def to_conformal(surface, n_nodes=2048):
 def conformal_to_arclength(c, n_nodes=4097):
     """Arc-length profile of a conformal metric: rho = e^u sin(theta),
     ds = e^u d(theta).  This is the bridge that lets the geodesic
-    integrator run on flow states."""
-    theta = c.theta
-
-    # du/dtheta by central differences (u is even at the poles)
-    du = np.empty_like(c.u)
-    du[1:-1] = (c.u[2:] - c.u[:-2]) / (2.0 * c.h)
-    du[0] = du[-1] = 0.0
-
-    u_sp = Spline(theta, c.u)
-    du_sp = Spline(theta, du)
-    K_sp = Spline(theta, conformal_curvature(c))
+    integrator run on flow states.  Between theta nodes u and u' are the
+    Hermite cubics of (u, u') and (u', u'') from ``derivatives``, and u''
+    is the slope of the second, as rho' and rho'' in ``ProfileMetric``."""
+    h, u = c.h, c.u
+    du, d2u = c.derivatives()
 
     def at(th):
-        rho = np.exp(u_sp(th)) * np.sin(th)
-        # d rho/ds = e^{-u} d rho/d theta = u' sin + cos (the e^u factors
-        # cancel), and rho'' = -K rho
-        return (rho, du_sp(th) * np.sin(th) + np.cos(th),
-                -K_sp(th) * rho)
+        s, co = np.sin(th), np.cos(th)
+        u_q = _kernels.hermite_vec(th, h, u, du)
+        du_q = _kernels.hermite_vec(th, h, du, d2u)
+        d2u_q = _kernels.hermite_vec_slope(th, h, du, d2u)
+        # d/ds = e^{-u} d/dtheta: rho' = u' sin + cos (the e^u factors
+        # cancel), rho'' = e^{-u} ((u'' - 1) sin + u' cos)
+        return (np.exp(u_q) * s, du_q * s + co,
+                np.exp(-u_q) * ((d2u_q - 1.0) * s + du_q * co))
 
-    return arclength_profile(theta, np.exp(c.u), at, n_nodes)
+    return arclength_profile(c.theta, np.exp(u), at, n_nodes)

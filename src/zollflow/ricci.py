@@ -33,8 +33,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import FlowInstabilityError
-from .profile import (FOUR_PI, SYMMETRY_TOL, ConformalProfile,
-                      conformal_curvature, conformal_grid)
+from .profile import (FOUR_PI, SYMMETRY_TOL, TWO_PI, ConformalProfile,
+                      conformal_curvature, conformal_grid,
+                      curvature_arclength)
 
 STABILITY_FACTOR = 0.4  # explicit step: factor * h^2 * min e^{2u}
 # evolve's BDF3 step: at most DT_PER_H * h, and at least MIN_STEPS steps
@@ -47,7 +48,6 @@ MAX_STEPS = 50_000_000  # flow steps per checkpoint interval
 # shortest horizon (Neville on three halving horizons amplifies a slope's
 # 2-ulp rounding error about sevenfold)
 LPRIME_FLOOR_ULPS = 64
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def lprime_analytic(p):
     For a unit-equator surface (rho_eq = 1) this is -2 pi (K_eq - Kbar).
     """
     s_eq, rho_eq = p.equator()
-    k_eq = -float(p.d2rho(s_eq)) / rho_eq  # K = -rho''/rho
+    k_eq = curvature_arclength(p, s_eq)
     k_bar = FOUR_PI / p.area()
     return -TWO_PI * rho_eq * (k_eq - k_bar)
 

@@ -12,12 +12,8 @@ integer.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ZollCertificationError
-
-FOUR_PI = 4.0 * np.pi
-TWO_PI = 2.0 * np.pi
+from .profile import FOUR_PI, TWO_PI
 
 SPREAD_TOL = 1e-4
 INTEGER_TOL = 1e-4

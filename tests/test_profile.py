@@ -47,6 +47,28 @@ def test_hermite_scalar_and_array_agree(michel_p):
         assert np.array_equal(vec, floats)
 
 
+@pytest.mark.parametrize("n", [5, 129, 513])
+def test_hermite_slope_on_cubic(n):
+    # the slope gives rho'' of a ProfileMetric and u'' in the bridge: on
+    # node data of a cubic it is the cubic's derivative between nodes and
+    # the node derivatives themselves at the nodes.  h is dyadic, so each
+    # node k h divides back to k and sits at t = 0 of its own cell
+    def f(x):
+        return 2.0 * x**3 - x**2 + 0.5 * x - 1.0
+
+    def df(x):
+        return 6.0 * x**2 - 2.0 * x + 0.5  # no real root
+
+    x = np.linspace(0.0, 2.0, n)
+    h = 2.0 / (n - 1)
+    values, derivs = f(x), df(x)
+    assert np.array_equal(
+        _kernels.hermite_vec_slope(x, h, values, derivs), derivs)
+    xq = np.random.default_rng(n).uniform(0.0, 2.0, 500)
+    got = _kernels.hermite_vec_slope(xq, h, values, derivs)
+    assert np.max(np.abs(got / df(xq) - 1.0)) <= 1e-13
+
+
 class TestMeridianGauge:
     def test_round_curvature_is_one(self):
         m = zf.round_sphere()
@@ -358,6 +380,43 @@ class TestConformalGauge:
                                                   abs=1e-8)
         s = np.linspace(0.2, back.total_length - 0.2, 33)
         assert np.max(np.abs(back.rho(s) - areanorm_p.rho(s))) < 1e-7
+
+    def test_derivatives_fourth_order_to_the_poles(self):
+        # u = 0.3 cos + 0.1 cos^2 is even about both poles; u' and u'' are
+        # checked against the exact ones at every node, poles included
+        def errors(n):
+            theta = np.linspace(0.0, PI, n)
+            c, s = np.cos(theta), np.sin(theta)
+            du, d2u = zf.ConformalProfile(u=0.3 * c + 0.1 * c * c) \
+                .derivatives()
+            return (np.max(np.abs(du + 0.3 * s + 0.2 * c * s)),
+                    np.max(np.abs(d2u + 0.3 * c + 0.2 * (c * c - s * s))))
+
+        (du1, d2u1), (du2, d2u2), (du3, _) = map(errors, (129, 257, 513))
+        # h halves from one size to the next; above 513 nodes u'' meets
+        # its eps/h^2 rounding floor
+        assert np.log2(du1 / du2) >= 3.9
+        assert np.log2(du2 / du3) >= 3.9
+        assert np.log2(d2u1 / d2u2) >= 3.8
+
+    def test_bridge_is_fourth_order_on_gong(self):
+        # rho' of the bridge against the oversampled meridian route
+        m = zf.normalize_to_volume(zf.gong_raw())
+        ref = zf.to_arclength(m, 16385)
+        errors = []
+        for n in (512, 1024):
+            back = zf.conformal_to_arclength(zf.to_conformal(m, n))
+            s = np.linspace(0.2, back.total_length - 0.2, 400)
+            errors.append(np.max(np.abs(back.drho(s) - ref.drho(s))))
+        assert errors[0] <= 1e-8
+        assert errors[0] / errors[1] >= 12.0
+
+    def test_bridged_michel_sweep_is_zoll(self):
+        # a genuine Zoll surface through its conformal gauge and the
+        # bridge, as a flow's t = 0 state is swept
+        c = zf.to_conformal(zf.OddFunction((0.3, -0.3)), 513)
+        report = zf.zoll_sweep(zf.conformal_to_arclength(c), n_samples=8)
+        assert report.spread < 1e-7
 
     def test_conformal_curvature_round(self):
         c = zf.ConformalProfile(u=np.zeros(801))

@@ -327,10 +327,11 @@ class TestFlowGrid:
 
     @pytest.mark.parametrize("n", [5, 6, 512, 513, 1024, 1025])
     def test_grids_bitwise_from_stencil_formulas(self, n):
-        # the flow's stencil as first written: the record and its fold
-        # must reproduce it bit for bit, so that no flow moves
+        # the flow's stencil as first written, and cos theta for the
+        # equator's derivatives: the record and its fold must reproduce
+        # them bit for bit, so that no flow moves
         theta = np.linspace(0.0, np.pi, n)
-        sin_t = np.sin(theta)
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
         cot_t = np.zeros(n)
         cot_t[1:-1] = np.cos(theta[1:-1]) / sin_t[1:-1]
         h = np.pi / (n - 1)
@@ -341,7 +342,8 @@ class TestFlowGrid:
         a[0], b[0] = 4.0 / h2, 0.0
         a[-1], b[-1] = 0.0, 4.0 / h2
         record = zf.profile.conformal_grid(n)
-        for got, want in zip(record, (sin_t, ws, a, b)):
+        assert len(record) == 5
+        for got, want in zip(record, (sin_t, cos_t, ws, a, b)):
             assert np.array_equal(got, want)
         full = ricci.flow_grid(n, False)
         assert full.m == n

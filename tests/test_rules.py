@@ -101,8 +101,8 @@ class _CheckedSpline(Spline):
 def test_call_sites_match_cubicspline(monkeypatch):
     # every Spline call site: arclength_profile (the one arc-length
     # construction, reached through to_arclength, michel_surface and
-    # conformal_to_arclength), conformal_to_arclength's own splines of u,
-    # u' and K, and to_conformal (through _isothermal_remainder)
+    # conformal_to_arclength, which interpolates u itself by the Hermite
+    # rule) and to_conformal (through _isothermal_remainder)
     monkeypatch.setattr(profile, "Spline", _CheckedSpline)
     for m in MERIDIANS:
         zf.to_arclength(m(), n_nodes=1025)

@@ -39,6 +39,8 @@ RUNS = (
     ("flow", "--nodes", "512", "--checkpoint-every", "0.025",
      "--sweep-checkpoints"),
     ("flow", "--nodes", "1025"),
+    ("flow", "--nodes", "1024", "--T", "0.01", "--checkpoint-every", "0.0025",
+     "--sweep-checkpoints", "--samples", "16"),
 )
 COMMANDS = tuple(run + ("--surface",) + surface
                  for surface in SURFACES for run in RUNS)
