@@ -27,14 +27,43 @@ through it; that crossing is refined by ``section_crossing``.  Both loops
 run on Python floats: the grids come as lists (``ProfileMetric.grid_lists``,
 built once per profile) and the record is kept in lists, since arithmetic
 on numpy scalars costs several times as much.
+
+The tridiagonal solves (the flow step and every spline's knot slopes) call
+LAPACK's ``dgtsv`` through scipy's f2py wrapper, the one
+``scipy.linalg.lapack.dgtsv`` exposes.  ``_load_flapack`` loads the
+extension that holds it, ``scipy/linalg/_flapack``, from its file, without
+running ``scipy/linalg/__init__.py``, whose imports (array-api-compat,
+``numpy.testing``, ``unittest``, ``numpy.f2py``) more than doubled the
+cost of ``import zollflow.cli`` that every run of the CLI pays.  The
+wrapper and its calls are scipy's, so the solutions are bitwise scipy's.
 """
 
 import math
+import os
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as _dgtsv
+import scipy
 
 from .errors import FlowInstabilityError, NumericalAbort
+
+
+def _load_flapack(directory):
+    """scipy's f2py LAPACK extension ``_flapack``, loaded from directory.
+
+    The module is named ``zollflow._flapack``, so it never stands in
+    ``sys.modules`` for scipy's own ``scipy.linalg._flapack``.
+    """
+    spec = PathFinder.find_spec("zollflow._flapack", [os.fspath(directory)])
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {directory}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dgtsv = _load_flapack(os.path.join(scipy.__path__[0], "linalg")).dgtsv
 
 
 def hermite_eval(x, h, values, derivs):

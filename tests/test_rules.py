@@ -4,7 +4,10 @@
 ``_kernels.hermite_cell`` cubic between knots) replaces
 ``scipy.interpolate.CubicSpline``, and a Gauss-Legendre pair replaces
 ``scipy.integrate.quad`` in the meridian quadratures.  scipy stays the
-oracle here; the package itself must not import those subpackages.
+oracle here; the package itself must not import those subpackages.  Its
+one scipy routine, LAPACK's ``dgtsv``, comes from scipy's f2py extension
+without ``scipy.linalg``'s package init, and must solve as
+``scipy.linalg.lapack.dgtsv`` does.
 """
 
 import os
@@ -17,7 +20,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import zollflow as zf
-from zollflow import catalog, profile
+from zollflow import _kernels, catalog, profile
 from zollflow.errors import QuadratureError
 from zollflow.profile import Spline
 
@@ -157,12 +160,74 @@ def test_michel_surface_uses_spline_rule():
     assert p.total_length == pytest.approx(np.pi, abs=1e-12)
 
 
-def test_cli_import_graph_has_no_scipy_interpolate_integrate_special():
-    code = ("import sys, zollflow.cli; "
-            "print(' '.join(m for m in ('scipy.interpolate', "
-            "'scipy.integrate', 'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ,
-                              "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+def _python(code):
+    """stdout of code run in a fresh interpreter on this test's path."""
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+
+
+def test_cli_import_graph_has_no_scipy_linalg_interpolate_integrate_special():
+    # scipy.linalg's package init pulls in scipy._lib._util,
+    # numpy.testing and unittest; the CLI loads only its LAPACK extension
+    out = _python("import sys, zollflow.cli; "
+                  "print(' '.join(m for m in ('scipy.linalg', "
+                  "'scipy._lib._util', 'numpy.testing', 'unittest', "
+                  "'scipy.interpolate', 'scipy.integrate', 'scipy.special') "
+                  "if m in sys.modules))")
     assert out.strip() == ""
+
+
+def _dominant_system(n, rng):
+    sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
+    diag = rng.uniform(2.0, 3.0, n) * rng.choice((-1.0, 1.0), n)
+    return sub, diag, sup, rng.standard_normal(n)
+
+
+# the overwrite flags of _bdf_step and of notaknot_slopes
+OVERWRITE = ({"overwrite_d": 1, "overwrite_b": 1},
+             {"overwrite_dl": 1, "overwrite_d": 1, "overwrite_du": 1,
+              "overwrite_b": 1})
+
+
+def _assert_same_solve(system, flags):
+    # conftest imported zollflow before this test module imported scipy,
+    # so scipy.linalg.lapack loads its own copy of _flapack here
+    from scipy.linalg.lapack import dgtsv
+
+    ours = _kernels._dgtsv(*(a.copy() for a in system), **flags)
+    ref = dgtsv(*(a.copy() for a in system), **flags)
+    assert ours[-1] == ref[-1]
+    for a, b in zip(ours[:-1], ref[:-1]):
+        assert a.tobytes() == b.tobytes()
+    return ours[-1]
+
+
+@pytest.mark.parametrize("flags", OVERWRITE, ids=("bdf_step", "notaknot"))
+@pytest.mark.parametrize("n", [5, 257, 1024])
+def test_dgtsv_is_scipys(n, flags):
+    system = _dominant_system(n, np.random.default_rng(n))
+    assert _assert_same_solve(system, flags) == 0
+
+
+@pytest.mark.parametrize("flags", OVERWRITE, ids=("bdf_step", "notaknot"))
+def test_dgtsv_singular_info_is_scipys(flags):
+    sub, diag, sup, b = _dominant_system(8, np.random.default_rng(8))
+    # row 3 is zero
+    sub[2] = diag[3] = sup[3] = 0.0
+    assert _assert_same_solve((sub, diag, sup, b), flags) > 0
+
+
+def test_flow_report_same_after_scipy_linalg():
+    run = ("import sys, zollflow.cli; sys.exit(zollflow.cli.main(["
+           "'flow', '--surface', 'gong_raw', '--nodes', '64', '--T', '0.05']))")
+    alone = _python(run)
+    assert alone.startswith("# config_hash=")
+    assert _python("import scipy.linalg; " + run) == alone
+
+
+def test_missing_flapack_names_module_and_directory(tmp_path):
+    with pytest.raises(ImportError, match="_flapack") as err:
+        _kernels._load_flapack(tmp_path)
+    assert str(tmp_path) in str(err.value)
