@@ -12,18 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import MeridianCurve, arclength_profile
+from . import profile
 
 SQRT2 = np.sqrt(2.0)
 # rescale constant for the gong meridian: c = sqrt(2) - 1
 GONG_C = SQRT2 - 1.0
-# uniform theta samples behind the Michel arc-length integral
-THETA_SAMPLES = 16385
 
 
 def round_sphere():
     """Unit sphere meridian r(z) = sqrt(1 - z^2) on [-1, 1]."""
-    return MeridianCurve(
+    return profile.MeridianCurve(
         r=lambda z: np.sqrt(1.0 - z * z),
         dr=lambda z: -z / np.sqrt(1.0 - z * z),
         d2r=lambda z: -(1.0 - z * z) ** -1.5,
@@ -53,7 +51,7 @@ def _gong_meridian(c4):
             + x * x / (2.0 * w * w * sw ** 3))
 
     half = 1.0 / c4
-    return MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=-half, z_hi=half)
+    return profile.MeridianCurve(r=r, dr=dr, d2r=d2r, z_lo=-half, z_hi=half)
 
 
 def gong_raw():
@@ -137,9 +135,11 @@ def michel_surface(h, n_nodes=4097):
     (1 + h(cos theta))^2 d theta^2 + sin^2 theta d phi^2.
 
     The meridian length is exactly pi (the h-term integrates to zero by
-    oddness) and the area is exactly 4 pi.
+    oddness) and the area is exactly 4 pi.  Arc length is the spline
+    integral of ds/dtheta = 1 + h(cos theta) on
+    ``profile.ARCLENGTH_SAMPLES`` uniform theta points.
     """
-    theta = np.linspace(0.0, np.pi, THETA_SAMPLES)
+    theta = np.linspace(0.0, np.pi, profile.ARCLENGTH_SAMPLES)
     speed = 1.0 + h(np.cos(theta))  # ds/dtheta
     if np.any(speed <= 0.0):
         raise ValueError("1 + h(cos theta) must stay positive")
@@ -152,4 +152,4 @@ def michel_surface(h, n_nodes=4097):
         # / (1+h)^3
         return st, ct / sp, st * (ct * h.deriv(ct) - sp) / sp ** 3
 
-    return arclength_profile(theta, speed, at, n_nodes)
+    return profile.arclength_profile(theta, speed, at, n_nodes)

@@ -43,6 +43,13 @@ SYMMETRY_TOL = 1e-10
 EQUATOR_ILLINOIS_STEPS = 30
 # chi samples per theta node of a meridian's or an odd function's gauge
 MERIDIAN_SAMPLES = 4
+# samples behind every arc-length integral of a meridian or a Michel
+# surface, whatever the node count.  The error of a meridian's S comes
+# from the speed samples nearest the poles: the truncation of their
+# extrapolation to the pole falls as h^5, the rounding of r'(z) there
+# grows as 1/h, and at 4097 the first is already the smaller
+# (tools/arclength_error.py)
+ARCLENGTH_SAMPLES = 4097
 # fewest theta nodes: the pole fit reads three interior nodes per pole
 MIN_CONFORMAL_NODES = 5
 # |w| bound of the isothermal inversion in the Mercator variable w: roots
@@ -196,6 +203,7 @@ class ProfileMetric:
     rho_grid: np.ndarray
     drho_grid: np.ndarray
     d2rho_grid: np.ndarray
+    _area: float = field(default=None, init=False, repr=False, compare=False)
     _equator: tuple = field(default=None, init=False, repr=False,
                             compare=False)
     _grid_lists: tuple = field(default=None, init=False, repr=False,
@@ -239,8 +247,12 @@ class ProfileMetric:
                                           self.d2rho_grid)
 
     def area(self):
-        w = simpson_weights(self.n_nodes, self.h)
-        return TWO_PI * float(w @ self.rho_grid)
+        """2 pi times the Simpson integral of rho, computed once per
+        profile."""
+        if self._area is None:
+            w = simpson_weights(self.n_nodes, self.h)
+            self._area = TWO_PI * float(w @ self.rho_grid)
+        return self._area
 
     def grid_lists(self):
         """(h, rho, drho, d2rho) as a float and lists of floats, built once
@@ -420,10 +432,10 @@ def to_arclength(m, n_nodes=4097):
     """Reparametrize a meridian by arc length.
 
     The cumulative length s(z) = integral of sqrt(1 + r'^2) dz is computed on
-    a fine chi-grid (z = mid + a sin(chi)), which turns the square-root
-    blow-up of r' at the poles into a smooth integrand, then inverted onto a
-    uniform s-grid, where rho' = r'/sqrt(1 + r'^2) and
-    rho'' = r''/(1 + r'^2)^2.
+    ARCLENGTH_SAMPLES points of the chi-grid z = mid + a sin(chi), which
+    turns the square-root blow-up of r' at the poles into a smooth
+    integrand, then inverted onto a uniform s-grid, where
+    rho' = r'/sqrt(1 + r'^2) and rho'' = r''/(1 + r'^2)^2.
     """
     def at(chi):
         z = m.midpoint + 0.5 * m.width * np.sin(chi)
@@ -432,7 +444,7 @@ def to_arclength(m, n_nodes=4097):
             q = 1.0 + dr * dr
             return m.r(z), dr / np.sqrt(q), m.d2r(z) / q ** 2
 
-    chi = np.linspace(-np.pi / 2, np.pi / 2, max(8 * n_nodes + 1, 16385))
+    chi = np.linspace(-np.pi / 2, np.pi / 2, ARCLENGTH_SAMPLES)
     return arclength_profile(chi, _chi_speed(m, chi)[1], at, n_nodes)
 
 

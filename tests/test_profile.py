@@ -186,6 +186,48 @@ class TestArclengthGauge:
         assert q._equator is None
         assert q.equator() == gongn_p.equator()
 
+    def test_area_computed_once(self, gongn_p):
+        import dataclasses
+        area = gongn_p.area()
+        assert area is gongn_p.area()
+        assert area == profile.TWO_PI * float(
+            simpson_weights(gongn_p.n_nodes, gongn_p.h) @ gongn_p.rho_grid)
+        q = dataclasses.replace(gongn_p)
+        assert q._area is None
+        assert q.area() == area
+
+    @staticmethod
+    def _gong_raw_rho(s):
+        # z = sin chi: r = 4 (sqrt(1 + cos chi) - 1) and ds/dchi =
+        # 2 - cos chi, so s = 2 (chi + pi/2) - sin chi - 1; Newton in chi
+        chi = 0.5 * s - 0.5 * PI
+        for _ in range(20):
+            chi = chi - (2.0 * (chi + 0.5 * PI) - np.sin(chi) - 1.0 - s) \
+                / (2.0 - np.cos(chi))
+        return 4.0 * (np.sqrt(1.0 + np.cos(chi)) - 1.0)
+
+    @pytest.mark.parametrize("n", [512, 4097, 16385])
+    def test_matches_closed_forms(self, n, michel_h):
+        # S, and rho at the nodes where its closed form is at hand.  The
+        # error is the rounding of r' next to the poles, which grows with
+        # the sample count and varies from count to count: at most 1.3e-12
+        # at 3901-4299 samples (exactly 4097 happens to read 1.3e-13), a
+        # median 2e-12 to 1.4e-11 at 16385 to 131081 samples
+        # (tools/arclength_error.py)
+        tol = 1.5e-12
+        gong_S = 2.0 * PI - 2.0
+        cases = ((zf.to_arclength(zf.round_sphere(), n), PI, np.sin),
+                 (zf.to_arclength(zf.gong_raw(), n), gong_S,
+                  self._gong_raw_rho),
+                 (zf.to_arclength(zf.gong_normalized(), n),
+                  gong_S / (4.0 * (np.sqrt(2.0) - 1.0)), None),
+                 (zf.michel_surface(michel_h, n), PI, None))
+        for p, S, rho in cases:
+            assert abs(p.total_length - S) <= tol
+            if rho is not None:
+                s = p.s_grid[1:-1]
+                assert np.max(np.abs(p.rho_grid[1:-1] - rho(s))) <= tol
+
     def test_validate_rejects_bad_slope(self, round_p):
         import dataclasses
         with pytest.raises(GaugeError):

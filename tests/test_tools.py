@@ -57,3 +57,16 @@ def test_compare_outputs_reports_moved_values():
     assert tool.differences(old, new) == [
         "abort snapshot u: max abs 0.05, max rel 0.25"]
     assert tool.differences(old, old) == []
+
+
+def test_arclength_error_runs():
+    tool = load_tool("arclength_error")
+    before = tool.profile.ARCLENGTH_SAMPLES
+    rows = {n: tool.errors("gong_raw", 512, n) for n in (1025, 4097)}
+    assert tool.profile.ARCLENGTH_SAMPLES == before
+    assert all(math.isfinite(v) for row in rows.values() for v in row)
+    # at 1025 samples the end extrapolation's truncation dominates; at the
+    # constant, only the rounding of r' near the poles is left
+    assert abs(rows[1025][0]) > 1e-11
+    assert max(map(abs, rows[4097])) < 1.5e-12
+    assert tool.main(["--samples", "1025", "--nodes", "65"]) == 0
